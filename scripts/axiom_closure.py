@@ -6,22 +6,12 @@ instance whose tableau stays open.
 """
 
 import argparse
-import itertools
 import time
 
-from plausible.formula import And, Atom, Iff, Implies, Nabla, Not, Or, render
+from plausible.formula import render
 from plausible.hilbert import instantiate
+from plausible.sampling import depth2_candidates
 from plausible.tableau import prove
-
-
-def candidates():
-    p, q = Atom("p"), Atom("q")
-    out = [p, q]
-    for a in (p, q):
-        out.extend([Not(a), Nabla(a)])
-    for a, b in itertools.product((p, q), repeat=2):
-        out.extend([And(a, b), Or(a, b), Implies(a, b), Iff(a, b)])
-    return out
 
 
 def main():
@@ -30,7 +20,7 @@ def main():
                         help="print every instance as it is proved")
     args = parser.parse_args()
 
-    pool = candidates()
+    pool = depth2_candidates()
     start = time.perf_counter()
     total = 0
     open_instances = []

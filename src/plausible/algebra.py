@@ -8,6 +8,7 @@ so nothing is lost at the scales we enumerate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -159,34 +160,41 @@ def evaluate(f: Formula, alg: PlausibleAlgebra, valuation: Valuation) -> int:
     raise AssertionError(f"unevaluated node {f!r}")
 
 
-def _valuation_grid(names: list[str], size: int) -> dict[str, np.ndarray]:
-    """One array per atom covering all valuations, in lexicographic order of
-    the assignment tuple (first atom most significant)."""
-    k = len(names)
-    total = size ** k
-    grid = {}
-    for i, name in enumerate(names):
-        reps = size ** (k - 1 - i)
-        tiles = total // (reps * size)
-        grid[name] = np.tile(np.repeat(np.arange(size), reps), tiles)
-    return grid
+# Tables x valuations evaluated in one pass.  A size's tables are split into
+# blocks of rows, and a row wider than this into chunks of valuations, so
+# memory stays bounded however many atoms a formula has.
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _evaluate_vec(f: Formula, alg: PlausibleAlgebra,
-                  grid: dict[str, np.ndarray], width: int) -> np.ndarray:
-    top = alg.top
+@functools.cache
+def _sharp_tables(n_atoms: int) -> tuple[tuple[PlausibleAlgebra, ...],
+                                         np.ndarray]:
+    """The algebras of one size, in enumeration order, and their sharp
+    tables as the rows of a read-only uint8 matrix."""
+    algebras = tuple(enumerate_algebras(n_atoms))
+    tables = np.array([alg.sharp for alg in algebras], dtype=np.uint8)
+    tables.flags.writeable = False
+    return algebras, tables
+
+
+def _evaluate_tables(f: Formula, tables: np.ndarray, rows: np.ndarray,
+                     grid: dict[str, np.ndarray], top: int):
+    """Values of f for every sharp table (row of ``tables``) and every
+    valuation (column of the ``grid`` arrays): an array or scalar that
+    broadcasts to (tables, valuations).  ``rows`` is the column vector of
+    row numbers, so ``#`` is a row-wise gather."""
     if isinstance(f, Atom):
         return grid[f.name]
     if isinstance(f, Top):
-        return np.full(width, top, dtype=np.int64)
+        return np.uint8(top)
     if isinstance(f, Bottom):
-        return np.zeros(width, dtype=np.int64)
+        return np.uint8(0)
     if isinstance(f, Not):
-        return top ^ _evaluate_vec(f.child, alg, grid, width)
+        return top ^ _evaluate_tables(f.child, tables, rows, grid, top)
     if isinstance(f, Nabla):
-        return np.asarray(alg.sharp)[_evaluate_vec(f.child, alg, grid, width)]
-    left = _evaluate_vec(f.left, alg, grid, width)
-    right = _evaluate_vec(f.right, alg, grid, width)
+        return tables[rows, _evaluate_tables(f.child, tables, rows, grid, top)]
+    left = _evaluate_tables(f.left, tables, rows, grid, top)
+    right = _evaluate_tables(f.right, tables, rows, grid, top)
     if isinstance(f, And):
         return left & right
     if isinstance(f, Or):
@@ -194,7 +202,7 @@ def _evaluate_vec(f: Formula, alg: PlausibleAlgebra,
     if isinstance(f, Implies):
         return (top ^ left) | right
     if isinstance(f, Iff):
-        return ((top ^ left) | right) & ((top ^ right) | left)
+        return top ^ left ^ right
     raise AssertionError(f"unevaluated node {f!r}")
 
 
@@ -205,22 +213,40 @@ def find_countermodel(f: Formula, max_atoms: int = MAX_ATOMS
     Enumeration order: algebra size ascending, sharp tables lexicographic,
     valuations lexicographic over the formula's atoms sorted by name.  The
     witness is therefore deterministic.
+
+    All sharp tables of one size are evaluated together, as a matrix of
+    tables by valuations, and the first entry below top in row-major order
+    is the witness: the same one a loop over tables, then valuations, finds.
+    Rows go in blocks, and overlong rows in chunks of valuations, of at
+    most ``_BLOCK_ELEMENTS`` entries, in that same order.
     """
-    if max_atoms > MAX_ATOMS:
-        raise ValueError(f"max_atoms must be <= {MAX_ATOMS}")
+    if not 1 <= max_atoms <= MAX_ATOMS:
+        raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
     from .formula import atoms as formula_atoms
     names = sorted(formula_atoms(f))
     for n in range(1, max_atoms + 1):
-        size = 1 << n
-        width = size ** len(names)
-        grid = _valuation_grid(names, size)
-        for alg in enumerate_algebras(n):
-            values = _evaluate_vec(f, alg, grid, width)
-            bad = np.flatnonzero(values != alg.top)
-            if bad.size:
-                idx = int(bad[0])
-                valuation = {name: int(grid[name][idx]) for name in names}
-                return alg, valuation
+        algebras, tables = _sharp_tables(n)
+        top = (1 << n) - 1
+        width = 1 << (n * len(names))
+        n_rows = max(1, _BLOCK_ELEMENTS // width)
+        n_cols = min(width, _BLOCK_ELEMENTS)
+        for r0 in range(0, len(algebras), n_rows):
+            block = tables[r0:r0 + n_rows]
+            rows = np.arange(len(block))[:, None]
+            for c0 in range(0, width, n_cols):
+                index = np.arange(c0, min(c0 + n_cols, width))
+                # digit i of the valuation index, first atom most significant
+                grid = {name: ((index >> (n * (len(names) - 1 - i))) & top
+                               ).astype(np.uint8)[None, :]
+                        for i, name in enumerate(names)}
+                values = _evaluate_tables(f, block, rows, grid, top)
+                bad = np.flatnonzero(
+                    np.broadcast_to(values, (len(block), len(index))) != top)
+                if bad.size:
+                    row, col = divmod(int(bad[0]), len(index))
+                    valuation = {name: int(grid[name][0, col])
+                                 for name in names}
+                    return algebras[r0 + row], valuation
     return None
 
 

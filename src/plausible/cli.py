@@ -155,6 +155,9 @@ def run(argv: list[str]) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:

@@ -2,77 +2,114 @@
 
 Connectives: ~ (negation), & (conjunction), | (disjunction), -> (implication),
 <-> (biconditional), # (plausibility), constants true / false.  Formulas are
-immutable values with syntactic equality; nothing is normalized implicitly.
+immutable and interned (hash-consed): building a formula returns the one
+live node with the same constructor and children, so equality is identity,
+which coincides with syntactic equality, and hashing takes constant time.
+Nothing is normalized implicitly.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+import threading
+import weakref
 
 _ATOM_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 _KEYWORDS = {"true", "false"}
 
 
-@dataclass(frozen=True)
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Taken on a miss only, so two threads cannot build twin nodes.
+_INTERN_LOCK = threading.Lock()
+
+
 class Formula:
+    """Base of the interned node classes.
+
+    ``cls(*fields)`` returns the one live node with those fields, so two
+    formulas are equal exactly when they are the same object, and equality
+    and hashing are the constant-time ones of ``object``.  The intern table
+    holds nodes weakly: a formula nobody references leaves it.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERN.get(key)
+        if node is None:
+            with _INTERN_LOCK:
+                node = _INTERN.get(key)
+                if node is None:
+                    if len(fields) != len(cls._fields):
+                        raise TypeError(f"{cls.__name__} takes "
+                                        f"{len(cls._fields)} arguments")
+                    node = object.__new__(cls)
+                    for name, value in zip(cls._fields, fields):
+                        object.__setattr__(node, name, value)
+                    _INTERN[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copies and unpickled formulas go back through the intern table
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if not _ATOM_RE.fullmatch(self.name) or self.name in _KEYWORDS:
-            raise ValueError(f"bad atom name: {self.name!r}")
+    def __new__(cls, name: str):
+        if not _ATOM_RE.fullmatch(name) or name in _KEYWORDS:
+            raise ValueError(f"bad atom name: {name!r}")
+        return super().__new__(cls, name)
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
 class Nabla(Formula):
-    child: Formula
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
 BINARY = (And, Or, Implies, Iff)

@@ -1,7 +1,9 @@
-"""Seeded random formula generation for cross-oracle sweeps."""
+"""Formula pools for sweeps: seeded random formulas for the cross-oracle
+sweeps, and the depth-2 candidates for the axiom closure sweep."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .formula import (And, Atom, Bottom, Formula, Iff, Implies, Nabla, Not,
@@ -42,3 +44,16 @@ def corpus(seed: int, count: int, max_size: int = 12,
     """Deterministic list of random formulas."""
     rng = random.Random(seed)
     return [random_formula(rng, max_size, atom_names) for _ in range(count)]
+
+
+def depth2_candidates() -> list[Formula]:
+    """The 22 formulas of depth at most 2 over the atoms p and q: the atoms,
+    their negations and plausibilities, and each binary connective applied
+    to each ordered pair of atoms."""
+    p, q = Atom("p"), Atom("q")
+    out: list[Formula] = [p, q]
+    for a in (p, q):
+        out.extend([Not(a), Nabla(a)])
+    for a, b in itertools.product((p, q), repeat=2):
+        out.extend([And(a, b), Or(a, b), Implies(a, b), Iff(a, b)])
+    return out

@@ -146,6 +146,8 @@ class _Application:
 
 class _Context:
     def __init__(self, budget: int):
+        if budget < 1:
+            raise ValueError(f"node budget must be at least 1, got {budget}")
         self.budget = budget
         self.used = 0
         self.memo: dict[Formula, bool] = {}
@@ -363,7 +365,8 @@ def prove(premises: Iterable[Formula], goal: Formula,
     """Build the tableau for the premises plus the negated goal.
 
     "closed" certifies the entailment; "open" carries one fully saturated
-    open branch.  Exhausting the node budget raises BudgetExceeded.
+    open branch.  Exhausting the node budget raises BudgetExceeded; a
+    budget below 1 raises ValueError.
     """
     ctx = _Context(budget)
     premises = list(premises)

@@ -13,15 +13,14 @@ from plausible.algebra import (countermodel_to_json, enumerate_algebras,
                                validate_algebra)
 from plausible.folp import (PlausibleStructure, Plaus, Forall, Rel, Name,
                             check_axioms, parse_fo, satisfies)
-from plausible.formula import (And, Atom, Iff, Implies, Nabla, Not, Or,
-                               erase_nabla, is_classical_tautology, parse,
-                               render)
+from plausible.formula import (Atom, Nabla, erase_nabla,
+                               is_classical_tautology, parse, render)
 from plausible.hilbert import (check_proof, instantiate, library_proofs,
                                library_theorems)
 from plausible.pseudotopology import (PseudoTopology, enumerate_spaces,
                                       pairwise_nondisjoint, principal_space,
                                       validate as validate_space)
-from plausible.sampling import corpus
+from plausible.sampling import corpus, depth2_candidates
 from plausible.tableau import is_valid, prove, result_to_json_text
 
 from conftest import CORPUS_SEED, CORPUS_SIZE
@@ -36,18 +35,8 @@ def _report(number, name, ok, detail=""):
 # ---------------------------------------------------------------------------
 # criterion 1: axiom closure over depth-2 instances
 
-def _depth2_candidates():
-    p, q = Atom("p"), Atom("q")
-    out = [p, q]
-    for a in (p, q):
-        out.extend([Not(a), Nabla(a)])
-    for a, b in itertools.product((p, q), repeat=2):
-        out.extend([And(a, b), Or(a, b), Implies(a, b), Iff(a, b)])
-    return out
-
-
 def test_criterion_1_axiom_closure():
-    candidates = _depth2_candidates()
+    candidates = depth2_candidates()
     assert len(candidates) == 22
     failures = []
     total = 0

@@ -1,13 +1,16 @@
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from plausible import algebra
 from plausible.algebra import (MAX_ATOMS, PlausibleAlgebra, all_valuations,
                                countermodel_to_json, enumerate_algebras,
                                evaluate, find_countermodel, is_valid_up_to,
                                plausible_elements, validate)
-from plausible.formula import parse
+from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
+                               Or, Top, atoms, erase_nabla, parse)
 
 # [DERIVED] pinned independently of the enumerator, see below
 ALGEBRA_COUNTS = {1: 1, 2: 4, 3: 64}
@@ -85,6 +88,60 @@ def test_countermodel_examples():
 
     assert find_countermodel(parse("#p -> p")) is None
     assert find_countermodel(parse("#(p | ~p)")) is None
+
+
+def _first_countermodel_by_loop(f, max_atoms):
+    """The reference: a plain loop over algebras, then valuations."""
+    names = sorted(atoms(f))
+    for n in range(1, max_atoms + 1):
+        for alg in enumerate_algebras(n):
+            for valuation in all_valuations(names, alg.size):
+                if evaluate(f, alg, valuation) != alg.top:
+                    return alg, valuation
+    return None
+
+
+def _check_against_loop(f, max_atoms):
+    hit = find_countermodel(f, max_atoms)
+    assert hit == _first_countermodel_by_loop(f, max_atoms)
+    if hit is not None:
+        alg, valuation = hit
+        assert evaluate(f, alg, valuation) != alg.top
+    return hit
+
+
+_formulas = st.recursive(
+    st.one_of(st.sampled_from([Atom(n) for n in "pqrs"]),
+              st.just(Top()), st.just(Bottom())),
+    lambda children: st.one_of(
+        children.map(Not), children.map(Nabla),
+        st.tuples(st.sampled_from([And, Or, Implies, Iff]), children,
+                  children).map(lambda t: t[0](t[1], t[2]))),
+    max_leaves=10)
+
+
+@settings(deadline=None)
+@given(_formulas, st.integers(1, 2),
+       st.sampled_from([3, 64, algebra._BLOCK_ELEMENTS]))
+# table 1 is refuted in an earlier chunk of valuations than table 0
+@example(parse("q | p | #~(#p & q)"), 2, 3)
+def test_countermodel_matches_loop(f, max_atoms, block_elements):
+    """Small caps split the tables into blocks of rows and overlong rows
+    into chunks of valuations; the witness must not depend on the split.
+    f <-> erase(f) holds in the 2-element algebra, where # is the identity,
+    so its search goes on to the larger algebras."""
+    with mock.patch.object(algebra, "_BLOCK_ELEMENTS", block_elements):
+        _check_against_loop(f, max_atoms)
+        _check_against_loop(Iff(f, erase_nabla(f)), max_atoms)
+
+
+def test_countermodel_matches_loop_across_blocks():
+    # Four atoms give rows of 8**4 valuations at size 8, so the 64 tables
+    # of that size take several blocks; the first witness is table 22.
+    f = parse("#~#r | #(#(##~r -> q) | s) | (p & ~p)")
+    alg, _ = _check_against_loop(f, 3)
+    assert alg.sharp == (0, 0, 0, 1, 4, 4, 4, 7)
+    assert algebra._BLOCK_ELEMENTS // 8 ** 4 < 22
 
 
 def test_countermodel_is_deterministic():

@@ -15,6 +15,11 @@ def test_parse_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_parse_deep_nesting_is_input_error(capsys):
+    assert run(["parse", "(" * 3000 + "p" + ")" * 3000]) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
 def test_prove_closed_and_open(capsys):
     assert run(["prove", "#p -> p"]) == 0
     out = capsys.readouterr().out
@@ -42,6 +47,17 @@ def test_prove_budget_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_prove_rejects_nonpositive_budget(budget, capsys):
+    assert run(["prove", "#p -> p", "--budget", budget]) == 2
+    assert "budget must be at least 1" in capsys.readouterr().err
+
+
+def test_prove_deep_nesting_is_input_error(capsys):
+    assert run(["prove", "~" * 3000 + "p"]) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
 def test_countermodel(capsys):
     assert run(["countermodel", "#p"]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -50,6 +66,14 @@ def test_countermodel(capsys):
 
     assert run(["countermodel", "#p -> p"]) == 0
     assert "valid up to bound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_countermodel_rejects_nonpositive_bound(bound, capsys):
+    assert run(["countermodel", "p & ~p", "--max-atoms", bound]) == 2
+    captured = capsys.readouterr()
+    assert "valid up to bound" not in captured.out
+    assert "max_atoms must be between 1 and 3" in captured.err
 
 
 def test_check_proof(tmp_path, capsys):

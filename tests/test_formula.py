@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from plausible import formula
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, ParseError, Top, atoms, depth, erase_nabla,
                                is_classical_tautology, negate, parse, render,
@@ -99,7 +102,41 @@ def test_atom_name_validation():
 
 @given(formula_strategy())
 def test_round_trip(f):
-    assert parse(render(f)) == f
+    assert parse(render(f)) is f
+
+
+@given(formula_strategy(), formula_strategy())
+def test_equality_is_identity(f, g):
+    assert (f == g) == (f is g) == (repr(f) == repr(g))
+
+
+def test_formulas_are_immutable():
+    for f, name in ((p, "name"), (Not(p), "child"), (And(p, q), "left")):
+        with pytest.raises(AttributeError):
+            setattr(f, name, q)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    with pytest.raises(AttributeError):
+        Top().extra = 1
+
+
+def test_deep_formula_hashes_without_recursion():
+    f = p
+    for _ in range(100_000):
+        f = Not(f)
+    assert f in {f}
+    assert Not(f.child) is f
+    assert {f: 1}[f] == 1
+
+
+def test_intern_table_drops_dead_formulas():
+    gc.collect()
+    before = len(formula._INTERN)
+    fs = [Nabla(And(Atom(f"x{i}"), q)) for i in range(1000)]
+    assert len(formula._INTERN) >= before + 3000
+    del fs
+    gc.collect()
+    assert len(formula._INTERN) <= before
 
 
 @given(formula_strategy())
