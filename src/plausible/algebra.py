@@ -90,8 +90,8 @@ def enumerate_algebras(n_atoms: int) -> Iterator[PlausibleAlgebra]:
     (equivalent to a2 on this lattice) and by the pairwise a1 law, both of
     which only mention already-assigned entries.
     """
-    if n_atoms > MAX_ATOMS:
-        raise ValueError(f"n_atoms must be <= {MAX_ATOMS}")
+    if not 0 <= n_atoms <= MAX_ATOMS:
+        raise ValueError(f"n_atoms must be in 0..{MAX_ATOMS}, got {n_atoms}")
     size = 1 << n_atoms
     top = size - 1
     table = [0] * size

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import pseudotopology
+from .formula import ParseError
 from .pseudotopology import PseudoTopology
 
 
@@ -348,7 +349,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ValueError(f"unexpected character {stripped[0]!r}")
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped),
+                             ("identifier", "operator"))
         if m.group("ident"):
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:
@@ -369,8 +372,8 @@ class _Parser:
     def take(self, kind):
         tok = self.tokens[self.i]
         if tok[0] != kind:
-            raise ValueError(f"expected {kind!r}, found {tok[1]!r} at "
-                             f"offset {tok[2]}")
+            raise ParseError(f"unexpected {tok[1]!r}" if tok[1]
+                             else "unexpected end of input", tok[2], (kind,))
         self.i += 1
         return tok
 

@@ -75,8 +75,10 @@ def enumerate_spaces(universe_size: int) -> Iterator[PseudoTopology]:
     included, and a mask required as a union of included opens may not be
     excluded when its turn comes.
     """
-    if universe_size > MAX_UNIVERSE:
-        raise ValueError(f"universe_size must be <= {MAX_UNIVERSE}")
+    if not 1 <= universe_size <= MAX_UNIVERSE:
+        # the empty universe has no space: E3 and E4 would conflict
+        raise ValueError(f"universe_size must be in 1..{MAX_UNIVERSE}, "
+                         f"got {universe_size}")
     full = (1 << universe_size) - 1
     masks = list(range(1, full + 1))
 

@@ -15,6 +15,14 @@ Classical expansion rules plus the operator rules:
 A branch closes on falsum or on a syntactic pair A, ~A.  Saturation
 terminates because every rule is applied at most once per formula per
 branch and all derived formulas live in a finite closure of the inputs.
+
+Rule choice: the non-branching classical rules come first, then R1, R2,
+R5A/R5B, R4, and last the branching rules (classical, R3, R6); within a
+class the earliest formula on the branch wins, and the R6 pair form is
+tried only when every class is exhausted.  Each branch keeps one cursor
+per class, which moves only past formulas that can never fire for that
+class again, so no step rescans the branch.  A one-successor step extends
+its branch in place; only a branching step copies it.
 """
 
 from __future__ import annotations
@@ -38,16 +46,24 @@ class BudgetExceeded(RuntimeError):
 # branches
 
 class Branch:
-    """Ordered set of formulas with one-shot rule bookkeeping."""
+    """Ordered set of formulas with one-shot rule bookkeeping.
 
-    __slots__ = ("formulas", "members", "consumed", "closed")
+    negated holds A for each member ~A, so that add finds a pair A, ~A
+    without building a node.  cursors[k] is the position before which no
+    formula can fire for priority class k + 2 of _select.
+    """
+
+    __slots__ = ("formulas", "members", "negated", "consumed", "closed",
+                 "cursors")
 
     def __init__(self, formulas: Iterable[Formula] = (),
                  consumed: Optional[set] = None):
         self.formulas: list[Formula] = []
         self.members: set[Formula] = set()
+        self.negated: set[Formula] = set()
         self.consumed: set[tuple[str, Formula]] = set(consumed or ())
         self.closed = False
+        self.cursors = [0] * 6  # priority classes 2-7 of _select
         for f in formulas:
             self.add(f)
 
@@ -55,7 +71,9 @@ class Branch:
         if f not in self.members:
             self.formulas.append(f)
             self.members.add(f)
-            if isinstance(f, Bottom) or Not(f) in self.members \
+            if isinstance(f, Not):
+                self.negated.add(f.child)
+            if isinstance(f, Bottom) or f in self.negated \
                     or (isinstance(f, Not) and f.child in self.members):
                 self.closed = True
 
@@ -66,17 +84,24 @@ class Branch:
     def is_closed(self) -> bool:
         return self.closed
 
+    def extend(self, added: Iterable[Formula],
+               consumed_key: tuple[str, Formula]) -> "Branch":
+        """Apply a rule in place: mark it consumed and add its successor."""
+        self.consumed.add(consumed_key)
+        for f in added:
+            self.add(f)
+        return self
+
     def child(self, added: Iterable[Formula],
               consumed_key: tuple[str, Formula]) -> "Branch":
         new = Branch.__new__(Branch)
         new.formulas = list(self.formulas)
         new.members = set(self.members)
+        new.negated = set(self.negated)
         new.consumed = set(self.consumed)
         new.closed = self.closed
-        new.consumed.add(consumed_key)
-        for f in added:
-            new.add(f)
-        return new
+        new.cursors = list(self.cursors)
+        return new.extend(added, consumed_key)
 
     def __repr__(self):
         return "Branch(" + ", ".join(render(f) for f in self.formulas) + ")"
@@ -215,76 +240,104 @@ def _nabla_arguments(branch: Branch) -> list[Formula]:
 
 def _select(branch: Branch, ctx: _Context) -> Optional[_Application]:
     fs = branch.formulas
+    end = len(fs)
     consumed = branch.consumed
+    cursors = branch.cursors
+    # Each loop starts at its class's cursor and leaves it on the formula
+    # that fires, or at the end.  A formula passed over is of the wrong
+    # shape, consumed, or a biconditional whose memoised validity rules it
+    # out, and stays so on this branch and its descendants.
 
     # priority 2: non-branching classical rules
-    for f in fs:
+    for i in range(cursors[0], end):
+        f = fs[i]
         if ("alpha", f) in consumed:
             continue
         if isinstance(f, Iff):
             # the branching R6 takes over when the biconditional is valid
             if not _is_valid_nested(f, ctx):
+                cursors[0] = i
                 return _Application("iff", f, ("alpha", f),
                                     [[Implies(f.left, f.right),
                                       Implies(f.right, f.left)]])
             continue
         hit = _alpha(f)
         if hit:
+            cursors[0] = i
             rule, added = hit
             return _Application(rule, f, ("alpha", f), [added])
+    cursors[0] = end
 
     # priority 3: R1
-    for f in fs:
+    for i in range(cursors[1], end):
+        f = fs[i]
         if isinstance(f, Nabla) and ("R1", f) not in consumed:
+            cursors[1] = i
             return _Application("R1", f, ("R1", f), [[f.child]])
+    cursors[1] = end
 
     # priority 4: R2 validity test on any untested ~#A
-    for f in fs:
+    for i in range(cursors[2], end):
+        f = fs[i]
         if isinstance(f, Not) and isinstance(f.child, Nabla) \
                 and ("R2", f) not in consumed:
+            cursors[2] = i
             if _is_valid_nested(f.child.child, ctx):
                 return _Application("R2", f, ("R2", f), [[Bottom()]])
             return _Application("R2-fail", f, ("R2", f), [[]])
+    cursors[2] = end
 
     # priority 5: R5A / R5B rewrites (only after the R2 test failed)
-    for f in fs:
+    for i in range(cursors[3], end):
+        f = fs[i]
         if isinstance(f, Not) and isinstance(f.child, Nabla):
             g = f.child.child
             if isinstance(g, Implies) and ("R5A", f) not in consumed:
+                cursors[3] = i
                 return _Application(
                     "R5A", f, ("R5A", f),
                     [[Not(Nabla(Or(Not(g.left), g.right)))]])
             if isinstance(g, Iff) and ("R5B", f) not in consumed:
+                cursors[3] = i
                 return _Application(
                     "R5B", f, ("R5B", f),
                     [[Not(Nabla(And(Implies(g.left, g.right),
                                     Implies(g.right, g.left))))]])
+    cursors[3] = end
 
     # priority 6: R4
-    for f in fs:
+    for i in range(cursors[4], end):
+        f = fs[i]
         if isinstance(f, Not) and isinstance(f.child, Nabla) \
                 and isinstance(f.child.child, Or) and ("R4", f) not in consumed:
+            cursors[4] = i
             g = f.child.child
             return _Application("R4", f, ("R4", f),
                                 [[Not(Nabla(g.left)), Not(Nabla(g.right))]])
+    cursors[4] = end
 
     # priority 7: branching rules
-    for f in fs:
-        hit = _beta(f)
-        if hit and ("beta", f) not in consumed:
+    for i in range(cursors[5], end):
+        f = fs[i]
+        hit = ("beta", f) not in consumed and _beta(f)
+        if hit:
+            cursors[5] = i
             rule, successors = hit
             return _Application(rule, f, ("beta", f), successors)
         if isinstance(f, Not) and isinstance(f.child, Nabla) \
                 and isinstance(f.child.child, And) and ("R3", f) not in consumed:
+            cursors[5] = i
             g = f.child.child
             return _Application("R3", f, ("R3", f),
                                 [[Not(Nabla(g.left))], [Not(Nabla(g.right))]])
         if isinstance(f, Iff) and ("R6", f) not in consumed \
                 and _is_valid_nested(f, ctx):
+            cursors[5] = i
             return _Application(
                 "R6", f, ("R6", f),
                 [[And(Nabla(f.left), Nabla(f.right))],
                  [And(Not(Nabla(f.left)), Not(Nabla(f.right)))]])
+    cursors[5] = end
 
     # R6 paired form: a valid biconditional between two #-arguments already
     # on the branch licenses the same split even when the biconditional
@@ -330,7 +383,7 @@ def _develop(branch: Branch, leaf: Optional[Node], ctx: _Context,
             return False
         if len(app.successors) == 1:
             added = app.successors[0]
-            branch = branch.child(added, app.key)
+            branch.extend(added, app.key)
             if leaf is not None and added:
                 for f in added:
                     ctx.charge()

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from plausible.algebra import MAX_ATOMS
 from plausible.cli import run
+from plausible.pseudotopology import MAX_UNIVERSE
 
 
 def test_parse_echoes_canonical_form(capsys):
@@ -109,6 +111,17 @@ def test_enum_limits_are_input_errors(capsys):
     assert run(["enum-spaces", "--size", "9"]) == 2
     capsys.readouterr()
     assert run(["enum-algebras", "--atoms", "9"]) == 2
+    capsys.readouterr()
+    for argv, message in (
+            (["enum-spaces", "--size", "-1"],
+             f"universe_size must be in 1..{MAX_UNIVERSE}, got -1"),
+            (["enum-spaces", "--size", "0"],
+             f"universe_size must be in 1..{MAX_UNIVERSE}, got 0"),
+            (["enum-algebras", "--atoms", "-1"],
+             f"n_atoms must be in 0..{MAX_ATOMS}, got -1")):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from plausible.folp import (App, Eq, Exists, FImplies, FNot, FOr, Forall,
                             Name, Plaus, PlausibleStructure, Rel,
                             check_axioms, free_names, parse_fo, render_fo,
                             rename_bound, satisfies)
+from plausible.formula import ParseError
 from plausible.pseudotopology import PseudoTopology, principal_space
 
 
@@ -42,6 +43,19 @@ def test_parse_fo_examples():
     assert parse_fo("~P x. R(x)") == FNot(Plaus("x", Rel("R", (Name("x"),))))
     with pytest.raises(ValueError):
         parse_fo("forall x R(x)")
+
+
+@pytest.mark.parametrize("text, offset, expected, message", [
+    ("P x. R(x", 8, (")",), "unexpected end of input"),
+    ("forall x R(x)", 9, (".",), "unexpected 'R'"),
+    ("R(x) R(y)", 5, ("end",), "unexpected 'R'"),
+    ("R(x) & $", 7, ("identifier", "operator"), "unexpected character '$'"),
+])
+def test_parse_fo_errors_carry_offset(text, offset, expected, message):
+    with pytest.raises(ParseError) as exc:
+        parse_fo(text)
+    assert (exc.value.offset, exc.value.expected) == (offset, expected)
+    assert str(exc.value).startswith(f"{message} at offset {offset}")
 
 
 def test_quantifiers_scope_maximally():

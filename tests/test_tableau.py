@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,9 +7,11 @@ from plausible.algebra import all_valuations, enumerate_algebras, evaluate
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, atoms, parse, render)
 from plausible.hilbert import instantiate
-from plausible.sampling import random_formula
+from plausible.sampling import corpus, depth2_candidates, random_formula
 from plausible.tableau import (Branch, BudgetExceeded, expand_step, is_valid,
-                               prove, saturate)
+                               prove, result_to_json_text, saturate)
+
+from conftest import CORPUS_SEED, CORPUS_SIZE
 
 p, q = Atom("p"), Atom("q")
 
@@ -97,6 +100,89 @@ def test_saturate_examples():
 def test_budget_is_a_distinct_error():
     with pytest.raises(BudgetExceeded):
         prove([], parse("#(p & q) -> #(q & p)"), budget=3)
+
+
+@pytest.mark.parametrize("start", [[Or(p, q)], [Not(Nabla(And(p, q)))]])
+def test_branching_step_leaves_the_parent_untouched(start):
+    branch = Branch(start)
+    if isinstance(start[0], Not):
+        (branch,) = expand_step(branch)  # the failed R2 test comes first
+    formulas, members = list(branch.formulas), set(branch.members)
+    negated, consumed = set(branch.negated), set(branch.consumed)
+    succ = expand_step(branch)
+    assert len(succ) == 2
+    assert branch.formulas == formulas and branch.members == members
+    assert branch.negated == negated and branch.consumed == consumed
+    added = [s.formulas[-1] for s in succ]
+    for s, own, other in zip(succ, added, reversed(added)):
+        assert s.formulas == formulas + [own]
+        assert other not in s.members
+        assert s.consumed > consumed
+    # the parent still selects the same rule
+    assert [s.formulas for s in expand_step(branch)] == \
+        [s.formulas for s in succ]
+
+
+def test_closure_is_detected_in_either_order():
+    for pair in ([p, Not(p)], [Not(p), p],
+                 [Not(Not(p)), Not(p)], [Not(p), Not(Not(p))]):
+        assert Branch(pair).is_closed(), pair
+        grown = Branch(pair[:1])
+        assert not grown.is_closed()
+        grown.add(pair[1])
+        assert grown.is_closed(), pair
+    assert Branch([Bottom()]).is_closed()
+    assert not Branch([p, Not(q), Not(Not(p))]).is_closed()
+
+
+# ---------------------------------------------------------------------------
+# pinned trees and node charges
+#
+# The sha256 of result_to_json_text over the shared corpus followed by the
+# 1012 depth-2 axiom instances under #, and the smallest budget each listed
+# goal proves within.  Both were computed before rule selection became
+# incremental, under PYTHONHASHSEED 0 and 12345, and must not move with a
+# change of search bookkeeping.
+
+TREE_FINGERPRINT = \
+    "e9317d48928274186c9f0f09f950a6b7b5c1287b5d9309acb0f8537732c8539b"
+
+
+def _pinned_goals():
+    goals = list(corpus(CORPUS_SEED, CORPUS_SIZE))
+    candidates = depth2_candidates()
+    for a in candidates:
+        for schema in ("AX3", "AX4"):
+            goals.append(Nabla(instantiate(schema, {"A": a})))
+        for b in candidates:
+            for schema in ("AX1", "AX2"):
+                goals.append(Nabla(instantiate(schema, {"A": a, "B": b})))
+    return goals
+
+
+def test_trees_are_pinned():
+    goals = _pinned_goals()
+    assert len(goals) == CORPUS_SIZE + 1012
+    h = hashlib.sha256()
+    for f in goals:
+        h.update(result_to_json_text(prove([], f)).encode())
+    assert h.hexdigest() == TREE_FINGERPRINT
+
+
+@pytest.mark.parametrize("text, budget", [
+    ("#(p & q) -> #(q & p)", 39),             # R3, then R6P
+    ("##(p & q) -> ##(q & p)", 103),          # R6P inside a nested test
+    ("#(p <-> q) -> #(q <-> p)", 100),        # R5B, R5A, R4, R3, R6P
+    ("#(#p -> #q) -> #(~#q -> ~#p)", 62),     # R5A, R4, R6P
+    ("#(p | ~p)", 5),                         # R2 closes
+    ("(p -> q) -> (~q -> ~p)", 8),
+    ("#p -> #q", 9),                          # open
+])
+def test_minimal_budgets_are_pinned(text, budget):
+    f = parse(text)
+    prove([], f, budget=budget)
+    with pytest.raises(BudgetExceeded):
+        prove([], f, budget=budget - 1)
 
 
 # ---------------------------------------------------------------------------
