@@ -13,12 +13,10 @@ Run with ``PYTHONPATH=src python scripts/fo_axiom_sweep.py``.
 """
 
 import argparse
-import itertools
 import json
 
-from plausible.folp import (PlausibleStructure, check_axioms, parse_fo,
-                            satisfies)
-from plausible.pseudotopology import enumerate_spaces
+from plausible.folp import (check_axioms, parse_fo, satisfies,
+                            unary_structures)
 
 
 def main():
@@ -33,24 +31,17 @@ def main():
                              "extensionality", "a5")}
     count = 0
     witnesses = []
-    for d in range(1, args.max_domain + 1):
-        for omega in enumerate_spaces(d):
-            for rm, sm in itertools.product(range(1 << d), repeat=2):
-                M = PlausibleStructure(
-                    d,
-                    {"R": frozenset((i,) for i in range(d) if rm >> i & 1),
-                     "S": frozenset((i,) for i in range(d) if sm >> i & 1)},
-                    {}, {}, omega)
-                count += 1
-                report = check_axioms(M, phi, psi, "x")
-                verdicts = {k: getattr(report, k) for k in totals
-                            if k != "extensionality"}
-                verdicts["extensionality"] = satisfies(M, extensionality)
-                for key, held in verdicts.items():
-                    if not held:
-                        totals[key] += 1
-                        if key == "a5":
-                            witnesses.append(M.to_json())
+    for M in unary_structures(args.max_domain):
+        count += 1
+        report = check_axioms(M, phi, psi, "x")
+        verdicts = {k: getattr(report, k) for k in totals
+                    if k != "extensionality"}
+        verdicts["extensionality"] = satisfies(M, extensionality)
+        for key, held in verdicts.items():
+            if not held:
+                totals[key] += 1
+                if key == "a5":
+                    witnesses.append(M.to_json())
 
     print(f"structures checked: {count}")
     for key, bad in totals.items():

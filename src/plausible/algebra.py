@@ -88,7 +88,8 @@ def enumerate_algebras(n_atoms: int) -> Iterator[PlausibleAlgebra]:
     The search assigns sharp[0], sharp[1], ... in order, restricting each
     entry to submasks of its argument (a3) and pruning by monotonicity
     (equivalent to a2 on this lattice) and by the pairwise a1 law, both of
-    which only mention already-assigned entries.
+    which only mention already-assigned entries.  An n_atoms out of range
+    raises ValueError at the call, before any table is built.
     """
     if not 0 <= n_atoms <= MAX_ATOMS:
         raise ValueError(f"n_atoms must be in 0..{MAX_ATOMS}, got {n_atoms}")
@@ -117,7 +118,7 @@ def enumerate_algebras(n_atoms: int) -> Iterator[PlausibleAlgebra]:
                 yield from rec(a + 1)
         table[a] = 0
 
-    yield from rec(0)
+    return rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,137 +4,98 @@ Structures are finite first-order structures whose domain carries a
 pseudo-topology; the plausibility quantifier ``P x. phi`` holds when the
 set defined by phi is one of the opens.
 
-Formula grammar extends the propositional one with ``forall x.``,
-``exists x.``, ``P x.`` (each scoping as far to the right as possible),
-predicate application ``R(t, ...)`` and equality ``t1 = t2``.
+The language shares the formula core of ``formula``: its connectives are
+``Not``, ``And``, ``Or``, ``Implies`` and ``Iff``, its nodes are interned,
+``formula.render`` prints it and ``parse_fo`` runs the shared parser.  The
+grammar adds ``forall x.``, ``exists x.``, ``P x.`` (each scoping as far
+to the right as possible), predicate application ``R(t, ...)`` and
+equality ``t1 = t2``; ``#`` is not part of it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from . import pseudotopology
-from .formula import ParseError
+from . import formula, pseudotopology
+from .formula import BINARY, And, Binder, Formula, Iff, Implies, Not, Or, render
 from .pseudotopology import PseudoTopology
 
 
 # ---------------------------------------------------------------------------
 # terms and formulas
 
-@dataclass(frozen=True)
-class Term:
-    pass
-
-
-@dataclass(frozen=True)
-class Name(Term):
+class Name(Formula):
     """A variable or constant; which one is resolved at evaluation time."""
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def _head(self) -> str:
+        return self.name
 
 
-@dataclass(frozen=True)
-class App(Term):
-    func: str
-    args: tuple[Term, ...]
+def _application(name: str, args: tuple) -> str:
+    return f"{name}({', '.join(render(a) for a in args)})"
 
 
-@dataclass(frozen=True)
-class FOFormula:
-    def __str__(self) -> str:
-        return render_fo(self)
+class App(Formula):
+    """A function applied to terms."""
+    __slots__ = _fields = ("func", "args")
+
+    def _head(self) -> str:
+        return _application(self.func, self.args)
 
 
-@dataclass(frozen=True)
-class Rel(FOFormula):
-    name: str
-    args: tuple[Term, ...]
+class Rel(Formula):
+    __slots__ = _fields = ("name", "args")
+
+    def _head(self) -> str:
+        return _application(self.name, self.args) if self.args else self.name
 
 
-@dataclass(frozen=True)
-class Eq(FOFormula):
-    left: Term
-    right: Term
+class Eq(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def _head(self) -> str:
+        return f"{render(self.left)} = {render(self.right)}"
 
 
-@dataclass(frozen=True)
-class FNot(FOFormula):
-    child: FOFormula
+class Forall(Binder):
+    __slots__ = ()
+    _word = "forall"
 
 
-@dataclass(frozen=True)
-class FAnd(FOFormula):
-    left: FOFormula
-    right: FOFormula
+class Exists(Binder):
+    __slots__ = ()
+    _word = "exists"
 
 
-@dataclass(frozen=True)
-class FOr(FOFormula):
-    left: FOFormula
-    right: FOFormula
+class Plaus(Binder):
+    __slots__ = ()
+    _word = "P"
 
 
-@dataclass(frozen=True)
-class FImplies(FOFormula):
-    left: FOFormula
-    right: FOFormula
-
-
-@dataclass(frozen=True)
-class FIff(FOFormula):
-    left: FOFormula
-    right: FOFormula
-
-
-@dataclass(frozen=True)
-class Forall(FOFormula):
-    var: str
-    body: FOFormula
-
-
-@dataclass(frozen=True)
-class Exists(FOFormula):
-    var: str
-    body: FOFormula
-
-
-@dataclass(frozen=True)
-class Plaus(FOFormula):
-    var: str
-    body: FOFormula
-
-
-_BINARY = (FAnd, FOr, FImplies, FIff)
-_QUANT = (Forall, Exists, Plaus)
-
-
-def term_names(t: Term) -> set[str]:
-    if isinstance(t, Name):
-        return {t.name}
-    return set().union(*(term_names(a) for a in t.args)) if t.args else set()
-
-
-def free_names(f: FOFormula) -> set[str]:
+def free_names(f: Formula) -> set[str]:
     """Names not bound by a quantifier (constants included; they are
-    resolved against the structure)."""
-    if isinstance(f, Rel):
-        return set().union(*(term_names(a) for a in f.args)) if f.args else set()
-    if isinstance(f, Eq):
-        return term_names(f.left) | term_names(f.right)
-    if isinstance(f, FNot):
+    resolved against the structure); terms are formulas here too."""
+    if isinstance(f, Name):
+        return {f.name}
+    if isinstance(f, (Rel, App)):
+        return set().union(*(free_names(a) for a in f.args))
+    if isinstance(f, Not):
         return free_names(f.child)
-    if isinstance(f, _BINARY):
+    if isinstance(f, (Eq, *BINARY)):
         return free_names(f.left) | free_names(f.right)
-    if isinstance(f, _QUANT):
+    if isinstance(f, Binder):
         return free_names(f.body) - {f.var}
     raise AssertionError(f)
 
 
-def rename_bound(f: FOFormula, old: str, new: str) -> FOFormula:
+def rename_bound(f: Formula, old: str, new: str) -> Formula:
     """Replace free occurrences of a name (used for alphabetic variants)."""
-    def term(t: Term) -> Term:
+    def term(t: Formula) -> Formula:
         if isinstance(t, Name):
             return Name(new) if t.name == old else t
         return App(t.func, tuple(term(a) for a in t.args))
@@ -143,12 +104,12 @@ def rename_bound(f: FOFormula, old: str, new: str) -> FOFormula:
         return Rel(f.name, tuple(term(a) for a in f.args))
     if isinstance(f, Eq):
         return Eq(term(f.left), term(f.right))
-    if isinstance(f, FNot):
-        return FNot(rename_bound(f.child, old, new))
-    if isinstance(f, _BINARY):
+    if isinstance(f, Not):
+        return Not(rename_bound(f.child, old, new))
+    if isinstance(f, BINARY):
         return type(f)(rename_bound(f.left, old, new),
                        rename_bound(f.right, old, new))
-    if isinstance(f, _QUANT):
+    if isinstance(f, Binder):
         if f.var == old:
             return f
         return type(f)(f.var, rename_bound(f.body, old, new))
@@ -226,7 +187,7 @@ class PlausibleStructure:
 # ---------------------------------------------------------------------------
 # satisfaction
 
-def _eval_term(M: PlausibleStructure, t: Term, env: dict[str, int]) -> int:
+def _eval_term(M: PlausibleStructure, t: Formula, env: dict[str, int]) -> int:
     if isinstance(t, Name):
         if t.name in env:
             return env[t.name]
@@ -240,13 +201,13 @@ def _eval_term(M: PlausibleStructure, t: Term, env: dict[str, int]) -> int:
         raise EvaluationError(f"no function value for {t.func}{args}") from None
 
 
-def satisfies(M: PlausibleStructure, f: FOFormula,
+def satisfies(M: PlausibleStructure, f: Formula,
               assignment: Optional[dict[str, int]] = None) -> bool:
     """Tarskian satisfaction; the plausibility quantifier asks whether the
     definable set is open."""
     env = dict(assignment or {})
 
-    def sat(g: FOFormula, env: dict[str, int]) -> bool:
+    def sat(g: Formula, env: dict[str, int]) -> bool:
         if isinstance(g, Rel):
             table = M.relations.get(g.name, frozenset())
             values = tuple(_eval_term(M, a, env) for a in g.args)
@@ -258,17 +219,17 @@ def satisfies(M: PlausibleStructure, f: FOFormula,
             return values in table
         if isinstance(g, Eq):
             return _eval_term(M, g.left, env) == _eval_term(M, g.right, env)
-        if isinstance(g, FNot):
+        if isinstance(g, Not):
             return not sat(g.child, env)
-        if isinstance(g, FAnd):
+        if isinstance(g, And):
             return sat(g.left, env) and sat(g.right, env)
-        if isinstance(g, FOr):
+        if isinstance(g, Or):
             return sat(g.left, env) or sat(g.right, env)
-        if isinstance(g, FImplies):
+        if isinstance(g, Implies):
             return (not sat(g.left, env)) or sat(g.right, env)
-        if isinstance(g, FIff):
+        if isinstance(g, Iff):
             return sat(g.left, env) == sat(g.right, env)
-        if isinstance(g, (Forall, Exists, Plaus)):
+        if isinstance(g, Binder):
             hits = [b for b in range(M.domain_size)
                     if sat(g.body, {**env, g.var: b})]
             if isinstance(g, Forall):
@@ -308,133 +269,80 @@ class AxiomReport:
         return all((self.a1, self.a2, self.a3, self.a4, self.a5, self.a6))
 
 
-def check_axioms(M: PlausibleStructure, phi: FOFormula, psi: FOFormula,
+def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,
                  x: str) -> AxiomReport:
     """Evaluate the six quantifier schemas for the given instance pair.
 
     a5 is the monotonicity schema, not an axiom over pseudo-topologies:
     it fails exactly where the set phi defines is open and lies inside the
     set psi defines, which is not open (see ``AxiomReport``)."""
-    a1 = satisfies(M, FImplies(FAnd(Plaus(x, phi), Plaus(x, psi)),
-                               Plaus(x, FAnd(phi, psi))))
-    a2 = satisfies(M, FImplies(FAnd(Plaus(x, phi), Plaus(x, psi)),
-                               Plaus(x, FOr(phi, psi))))
-    a3 = satisfies(M, FImplies(Forall(x, phi), Plaus(x, phi)))
-    a4 = satisfies(M, FImplies(Plaus(x, phi), Exists(x, phi)))
-    a5 = satisfies(M, FImplies(Forall(x, FImplies(phi, psi)),
-                               FImplies(Plaus(x, phi), Plaus(x, psi))))
+    a1, a2, a3, a4, a5, plaus, variant = _instances(phi, psi, x)
+    return AxiomReport(satisfies(M, a1), satisfies(M, a2), satisfies(M, a3),
+                       satisfies(M, a4), satisfies(M, a5),
+                       satisfies(M, plaus) == satisfies(M, variant))
+
+
+@functools.lru_cache(maxsize=256)
+def _instances(phi: Formula, psi: Formula, x: str) -> tuple[Formula, ...]:
+    # Built once per instance pair: a sweep checks one pair on thousands
+    # of structures, and interning makes each fresh build a table miss.
     used = free_names(phi) | {x}
     fresh = next(f"v{i}" for i in itertools.count()
                  if f"v{i}" not in used)
-    a6 = satisfies(M, Plaus(x, phi)) == satisfies(
-        M, Plaus(fresh, rename_bound(phi, x, fresh)))
-    return AxiomReport(a1, a2, a3, a4, a5, a6)
+    return (Implies(And(Plaus(x, phi), Plaus(x, psi)),
+                    Plaus(x, And(phi, psi))),
+            Implies(And(Plaus(x, phi), Plaus(x, psi)),
+                    Plaus(x, Or(phi, psi))),
+            Implies(Forall(x, phi), Plaus(x, phi)),
+            Implies(Plaus(x, phi), Exists(x, phi)),
+            Implies(Forall(x, Implies(phi, psi)),
+                    Implies(Plaus(x, phi), Plaus(x, psi))),
+            Plaus(x, phi),
+            Plaus(fresh, rename_bound(phi, x, fresh)))
+
+
+def unary_structures(max_domain: int) -> Iterator[PlausibleStructure]:
+    """Every structure with one opens-family on a domain of size 1 to
+    max_domain and two unary relations R and S, domain by domain, in
+    ``enumerate_spaces`` order, then by the bitmasks of R and S."""
+    for d in range(1, max_domain + 1):
+        tables = [frozenset((i,) for i in range(d) if m >> i & 1)
+                  for m in range(1 << d)]
+        for omega in pseudotopology.enumerate_spaces(d):
+            for r, s in itertools.product(tables, repeat=2):
+                yield PlausibleStructure(d, {"R": r, "S": s}, {}, {}, omega)
 
 
 # ---------------------------------------------------------------------------
-# parsing and printing
+# parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
-    r"|(?P<op><->|->|[~#&|().,=]))"
-)
+class _Parser(formula._Parser):
+    """The shared connective parser plus binders, terms and equality."""
 
+    token_re = re.compile(r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
+                          r"|(?P<op><->|->|[~#&|().,=]))")
+    ident_label = "identifier"
+    prefix = {"~": Not}
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped),
-                             ("identifier", "operator"))
-        if m.group("ident"):
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append((m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def take(self, kind):
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError(f"unexpected {tok[1]!r}" if tok[1]
-                             else "unexpected end of input", tok[2], (kind,))
-        self.i += 1
-        return tok
-
-    def _quantifier(self):
-        kind, value, _ = self.peek()
-        if kind != "ident":
-            return None
-        if value in ("forall", "exists"):
-            return {"forall": Forall, "exists": Exists}[value]
-        if value == "P" and self.peek(1)[0] == "ident" \
-                and self.peek(2)[0] == ".":
-            return Plaus
-        return None
-
-    def formula(self) -> FOFormula:
-        ctor = self._quantifier()
-        if ctor is not None:
+    def primary(self) -> Formula:
+        value = self.peek()[1]
+        binder = {"forall": Forall, "exists": Exists}.get(value)
+        tokens, i = self.tokens, self.i
+        if value == "P" and tokens[i + 1][0] == "ident" \
+                and tokens[i + 2][0] == ".":
+            binder = Plaus
+        if binder is not None:
             self.take("ident")
             var = self.take("ident")[1]
             self.take(".")
-            return ctor(var, self.formula())
-        left = self.implication()
-        if self.peek()[0] == "<->":
-            self.take("<->")
-            return FIff(left, self.formula())
-        return left
+            return binder(var, self.formula())
+        t = self.term()
+        if self.peek()[0] == "=":
+            self.take("=")
+            return Eq(t, self.term())
+        return Rel(t.func, t.args) if isinstance(t, App) else Rel(t.name, ())
 
-    def implication(self) -> FOFormula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.take("->")
-            return FImplies(left, self.implication())
-        return left
-
-    def disjunction(self) -> FOFormula:
-        left = self.conjunction()
-        while self.peek()[0] == "|":
-            self.take("|")
-            left = FOr(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> FOFormula:
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.take("&")
-            left = FAnd(left, self.unary())
-        return left
-
-    def unary(self) -> FOFormula:
-        if self.peek()[0] == "~":
-            self.take("~")
-            return FNot(self.unary())
-        ctor = self._quantifier()
-        if ctor is not None:
-            self.take("ident")
-            var = self.take("ident")[1]
-            self.take(".")
-            return ctor(var, self.formula())
-        return self.atomic()
-
-    def term(self) -> Term:
+    def term(self) -> Formula:
         name = self.take("ident")[1]
         if self.peek()[0] == "(":
             self.take("(")
@@ -446,66 +354,6 @@ class _Parser:
             return App(name, tuple(args))
         return Name(name)
 
-    def atomic(self) -> FOFormula:
-        if self.peek()[0] == "(":
-            self.take("(")
-            inner = self.formula()
-            self.take(")")
-            return inner
-        t = self.term()
-        if self.peek()[0] == "=":
-            self.take("=")
-            return Eq(t, self.term())
-        if isinstance(t, App):
-            return Rel(t.func, t.args)
-        return Rel(t.name, ())
 
-
-def parse_fo(text: str) -> FOFormula:
-    parser = _Parser(_tokenize(text))
-    f = parser.formula()
-    parser.take("end")
-    return f
-
-
-def render_term(t: Term) -> str:
-    if isinstance(t, Name):
-        return t.name
-    return f"{t.func}({', '.join(render_term(a) for a in t.args)})"
-
-
-_FO_PREC = {FIff: 1, FImplies: 2, FOr: 3, FAnd: 4, FNot: 5}
-_FO_OPS = {FIff: "<->", FImplies: "->", FOr: "|", FAnd: "&"}
-
-
-def render_fo(f: FOFormula) -> str:
-    def prec(g):
-        return _FO_PREC.get(type(g), 6)
-
-    if isinstance(f, Rel):
-        if not f.args:
-            return f.name
-        return f"{f.name}({', '.join(render_term(a) for a in f.args)})"
-    if isinstance(f, Eq):
-        return f"{render_term(f.left)} = {render_term(f.right)}"
-    if isinstance(f, FNot):
-        child = render_fo(f.child)
-        if prec(f.child) < prec(f) or isinstance(f.child, _QUANT):
-            child = f"({child})"
-        return "~" + child
-    if isinstance(f, _QUANT):
-        word = {Forall: "forall", Exists: "exists", Plaus: "P"}[type(f)]
-        return f"{word} {f.var}. {render_fo(f.body)}"
-    p = prec(f)
-    left, right = render_fo(f.left), render_fo(f.right)
-    if isinstance(f, (FIff, FImplies)):
-        if prec(f.left) <= p or isinstance(f.left, _QUANT):
-            left = f"({left})"
-        if prec(f.right) < p:
-            right = f"({right})"
-    else:
-        if prec(f.left) < p or isinstance(f.left, _QUANT):
-            left = f"({left})"
-        if prec(f.right) <= p or isinstance(f.right, _QUANT):
-            right = f"({right})"
-    return f"{left} {_FO_OPS[type(f)]} {right}"
+def parse_fo(text: str) -> Formula:
+    return _Parser(text).parse()

@@ -1,11 +1,16 @@
-"""Propositional language with the plausibility operator: AST, parser, printer.
+"""The formula core: interned syntax trees, one parser, one printer.
 
-Connectives: ~ (negation), & (conjunction), | (disjunction), -> (implication),
-<-> (biconditional), # (plausibility), constants true / false.  Formulas are
-immutable and interned (hash-consed): building a formula returns the one
-live node with the same constructor and children, so equality is identity,
-which coincides with syntactic equality, and hashing takes constant time.
-Nothing is normalized implicitly.
+One core serves both languages of the package.  The propositional language
+has the connectives ~ (negation), & (conjunction), | (disjunction),
+-> (implication), <-> (biconditional), # (plausibility) and the constants
+true / false.  The first-order language of ``folp`` reuses the same
+connective nodes and adds its own leaves and binders (``Binder``); its
+parser subclasses ``_Parser`` and ``render`` prints both.
+
+Formulas are immutable and interned (hash-consed): building a formula
+returns the one live node with the same constructor and children, so
+equality is identity, which coincides with syntactic equality, and hashing
+takes constant time.  Nothing is normalized implicitly.
 """
 
 from __future__ import annotations
@@ -32,10 +37,14 @@ class Formula:
     formulas are equal exactly when they are the same object, and equality
     and hashing are the constant-time ones of ``object``.  The intern table
     holds nodes weakly: a formula nobody references leaves it.
+
+    For the printer each class carries ``_prec``, how tightly it binds
+    (leaves bind tightest), and each leaf prints itself with ``_head``.
     """
 
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()
+    _prec = 6
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -79,41 +88,66 @@ class Atom(Formula):
             raise ValueError(f"bad atom name: {name!r}")
         return super().__new__(cls, name)
 
+    def _head(self) -> str:
+        return self.name
+
 
 class Bottom(Formula):
     __slots__ = ()
+
+    def _head(self) -> str:
+        return "false"
 
 
 class Top(Formula):
     __slots__ = ()
 
+    def _head(self) -> str:
+        return "true"
+
 
 class Not(Formula):
     __slots__ = _fields = ("child",)
+    _prec, _op = 5, "~"
 
 
 class Nabla(Formula):
     __slots__ = _fields = ("child",)
+    _prec, _op = 5, "#"
 
 
 class And(Formula):
     __slots__ = _fields = ("left", "right")
+    _prec, _op = 4, "&"
 
 
 class Or(Formula):
     __slots__ = _fields = ("left", "right")
+    _prec, _op = 3, "|"
 
 
 class Implies(Formula):
     __slots__ = _fields = ("left", "right")
+    _prec, _op = 2, "->"
 
 
 class Iff(Formula):
     __slots__ = _fields = ("left", "right")
+    _prec, _op = 1, "<->"
+
+
+class Binder(Formula):
+    """A variable-binding prefix ``word var.`` whose body extends as far
+    to the right as possible; the first-order quantifiers subclass it and
+    set ``_word``."""
+
+    __slots__ = _fields = ("var", "body")
+    _prec = 0
 
 
 BINARY = (And, Or, Implies, Iff)
 UNARY = (Not, Nabla)
+_RIGHT_ASSOC = (Implies, Iff)
 
 
 def size(f: Formula) -> int:
@@ -171,45 +205,60 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op><->|->|[~#&|()]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            off = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", off,
-                             ("atom", "operator"))
-        if m.group("ident"):
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append((m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the connectives, loosest first: <->, ->, |,
+    &, then prefix operators and parentheses.  ``parse`` uses this class
+    as it is; a language subclass supplies only what differs: its token
+    pattern, the label of its identifiers in tokenizer errors, its prefix
+    operators and its primaries."""
+
+    token_re = re.compile(
+        r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op><->|->|[~#&|()]))")
+    ident_label = "atom"
+    prefix = {"~": Not, "#": Nabla}
+
+    def __init__(self, text: str):
+        self.tokens = self._tokenize(text)
         self.i = 0
+
+    def _tokenize(self, text: str) -> list[tuple[str, str, int]]:
+        tokens = []
+        pos = 0
+        match = self.token_re.match
+        while pos < len(text):
+            m = match(text, pos)
+            if m is None:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                raise ParseError(f"unexpected character {stripped[0]!r}",
+                                 len(text) - len(stripped),
+                                 (self.ident_label, "operator"))
+            if m.group("ident"):
+                tokens.append(("ident", m.group("ident"), m.start("ident")))
+            else:
+                tokens.append((m.group("op"), m.group("op"), m.start("op")))
+            pos = m.end()
+        tokens.append(("end", "", len(text)))
+        return tokens
+
+    def parse(self) -> Formula:
+        f = self.formula()
+        self.take("end")
+        return f
 
     def peek(self):
         return self.tokens[self.i]
 
+    def error(self, expected: tuple[str, ...]) -> ParseError:
+        _, value, offset = self.peek()
+        return ParseError(f"unexpected {value!r}" if value
+                          else "unexpected end of input", offset, expected)
+
     def take(self, kind):
         tok = self.tokens[self.i]
         if tok[0] != kind:
-            raise ParseError(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input",
-                             tok[2], (kind,))
+            raise self.error((kind,))
         self.i += 1
         return tok
 
@@ -243,78 +292,70 @@ class _Parser:
 
     def unary(self) -> Formula:
         kind = self.peek()[0]
-        if kind == "~":
-            self.take("~")
-            return Not(self.unary())
-        if kind == "#":
-            self.take("#")
-            return Nabla(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, value, offset = self.peek()
+        op = self.prefix.get(kind)
+        if op is not None:
+            self.take(kind)
+            return op(self.unary())
         if kind == "(":
             self.take("(")
             inner = self.formula()
             self.take(")")
             return inner
-        if kind == "ident":
-            self.take("ident")
-            if value == "true":
-                return Top()
-            if value == "false":
-                return Bottom()
-            return Atom(value)
-        raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input",
-                         offset, ("atom", "true", "false", "~", "#", "("))
+        return self.primary()
+
+    def primary(self) -> Formula:
+        kind, value, _ = self.peek()
+        if kind != "ident":
+            raise self.error(("atom", "true", "false", "~", "#", "("))
+        self.take("ident")
+        if value == "true":
+            return Top()
+        if value == "false":
+            return Bottom()
+        return Atom(value)
 
 
 def parse(text: str) -> Formula:
-    parser = _Parser(_tokenize(text))
-    f = parser.formula()
-    parser.take("end")
-    return f
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Nabla: 5}
-_OPS = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
-_RIGHT_ASSOC = (Iff, Implies)
-
-
-def _prec(f: Formula) -> int:
-    return _PREC.get(type(f), 6)
-
-
 def render(f: Formula) -> str:
-    """Minimal-parenthesis rendering; parse(render(f)) == f."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
+    """Minimal-parenthesis rendering of either language: parse(render(f))
+    is f, and ``folp.parse_fo`` reads back first-order formulas.
+
+    A binder is bracketed except as the right operand of -> or <-> with
+    nothing after it, since its body extends as far right as possible."""
+    return _render(f, True)
+
+
+def _render(f: Formula, last: bool) -> str:
+    # last: nothing follows f in the text
+    if isinstance(f, BINARY):
+        p = f._prec
+        if isinstance(f, _RIGHT_ASSOC):
+            left_bracket = f.left._prec <= p
+            right_bracket = (not last if isinstance(f.right, Binder)
+                             else f.right._prec < p)
+        else:
+            left_bracket = f.left._prec < p
+            right_bracket = f.right._prec <= p
+        left = _render(f.left, left_bracket)
+        right = _render(f.right, right_bracket or last)
+        if left_bracket:
+            left = f"({left})"
+        if right_bracket:
+            right = f"({right})"
+        return f"{left} {f._op} {right}"
     if isinstance(f, UNARY):
-        op = "~" if isinstance(f, Not) else "#"
-        child = render(f.child)
-        if _prec(f.child) < _prec(f):
-            child = f"({child})"
-        return op + child
-    p = _prec(f)
-    left, right = render(f.left), render(f.right)
-    if isinstance(f, _RIGHT_ASSOC):
-        if _prec(f.left) <= p:
-            left = f"({left})"
-        if _prec(f.right) < p:
-            right = f"({right})"
-    else:
-        if _prec(f.left) < p:
-            left = f"({left})"
-        if _prec(f.right) <= p:
-            right = f"({right})"
-    return f"{left} {_OPS[type(f)]} {right}"
+        bracket = f.child._prec < f._prec
+        child = _render(f.child, bracket or last)
+        return f._op + (f"({child})" if bracket else child)
+    if isinstance(f, Binder):
+        return f"{f._word} {f.var}. {_render(f.body, last)}"
+    return f._head()
 
 
 # ---------------------------------------------------------------------------

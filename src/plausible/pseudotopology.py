@@ -73,7 +73,8 @@ def enumerate_spaces(universe_size: int) -> Iterator[PseudoTopology]:
     exclusion before inclusion.  Pruning: two included opens may not be
     disjoint, their intersection (a smaller mask, already decided) must be
     included, and a mask required as a union of included opens may not be
-    excluded when its turn comes.
+    excluded when its turn comes.  A universe_size out of range raises
+    ValueError at the call, before any space is built.
     """
     if not 1 <= universe_size <= MAX_UNIVERSE:
         # the empty universe has no space: E3 and E4 would conflict
@@ -109,7 +110,7 @@ def enumerate_spaces(universe_size: int) -> Iterator[PseudoTopology]:
             yield from rec(i + 1, chosen, frozenset(new_required))
             chosen.pop()
 
-    yield from rec(0, [], frozenset())
+    return rec(0, [], frozenset())
 
 
 def pairwise_nondisjoint(space: PseudoTopology) -> bool:

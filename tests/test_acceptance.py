@@ -11,9 +11,10 @@ import json
 from plausible.algebra import (countermodel_to_json, enumerate_algebras,
                                evaluate, find_countermodel, validate as
                                validate_algebra)
-from plausible.folp import (FIff, FImplies, Forall, Name, PlausibleStructure,
-                            Plaus, Rel, check_axioms, parse_fo, satisfies)
-from plausible.formula import (Atom, Nabla, erase_nabla,
+from plausible.folp import (Forall, Name, PlausibleStructure, Plaus, Rel,
+                            check_axioms, parse_fo, satisfies,
+                            unary_structures)
+from plausible.formula import (Atom, Iff, Implies, Nabla, erase_nabla,
                                is_classical_tautology, parse, render)
 from plausible.hilbert import (check_proof, instantiate, library_proofs,
                                library_theorems)
@@ -208,22 +209,9 @@ def test_criterion_8_pseudotopology_suite():
 # ---------------------------------------------------------------------------
 # criterion 9: first-order suite
 
-def _unary_structures(max_domain=3):
-    for d in range(1, max_domain + 1):
-        rel_masks = list(range(1 << d))
-        for omega in enumerate_spaces(d):
-            for rm, sm in itertools.product(rel_masks, repeat=2):
-                M = PlausibleStructure(
-                    d,
-                    {"R": frozenset((i,) for i in range(d) if rm >> i & 1),
-                     "S": frozenset((i,) for i in range(d) if sm >> i & 1)},
-                    {}, {}, omega)
-                yield M
-
-
 def _extensionality(phi, psi):
-    return FImplies(Forall("x", FIff(phi, psi)),
-                    FIff(Plaus("x", phi), Plaus("x", psi)))
+    return Implies(Forall("x", Iff(phi, psi)),
+                   Iff(Plaus("x", phi), Plaus("x", psi)))
 
 
 def test_criterion_9_first_order_axioms():
@@ -251,7 +239,7 @@ def test_criterion_9_first_order_axioms():
     total = 0
     a5_failures = expected_failures = 0
     mismatch = None
-    for M in _unary_structures():
+    for M in unary_structures(3):
         total += 1
         report = check_axioms(M, phi, psi, "x")
         verdicts = {k: getattr(report, k) for k in ("a1", "a2", "a3", "a4",

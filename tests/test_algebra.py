@@ -60,7 +60,9 @@ def test_enumeration_is_lexicographic():
 
 def test_enumeration_rejects_oversized_request():
     with pytest.raises(ValueError):
-        list(enumerate_algebras(MAX_ATOMS + 1))
+        enumerate_algebras(MAX_ATOMS + 1)
+    with pytest.raises(ValueError):
+        enumerate_algebras(-1)
 
 
 def test_evaluate_examples():

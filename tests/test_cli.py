@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plausible.algebra import MAX_ATOMS
 from plausible.cli import run
+from plausible.folp import parse_fo
+from plausible.formula import ParseError, parse, render
 from plausible.pseudotopology import MAX_UNIVERSE
 
 
@@ -150,3 +155,47 @@ def test_fol_eval(model_file, capsys):
 
 def test_unknown_command_is_input_error():
     assert run(["frobnicate"]) == 2
+
+
+# the tokens of both languages, plus characters that neither accepts
+TOKENS = ["p", "q", "x", "R", "S", "f", "c", "P", "forall", "exists", "true",
+          "false", "~", "#", "&", "|", "->", "<->", "(", ")", ".", ",", "=",
+          "$", "-", "<", " "]
+texts = st.lists(st.sampled_from(TOKENS), max_size=14).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@example("(p -> P x. p) <-> p")
+@given(texts)
+def test_parsers_reject_or_round_trip(text):
+    for read in (parse, parse_fo):
+        try:
+            f = read(text)
+        except ParseError:
+            continue
+        assert read(render(f)) is f
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps({
+        "domain_size": 2,
+        "relations": {"R": [[0]], "S": [[0, 1]]},
+        "functions": {"f": [[0, 1], [1, 0]]},
+        "constants": {"c": 0},
+        "omega": [1, 3],
+    }))
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts)
+def test_exit_codes_hold_on_any_text(small_model, text):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        codes = {run(["parse", text]),
+                 run(["prove", text, "--budget", "200"]),
+                 run(["countermodel", text, "--max-atoms", "1"]),
+                 run(["fol-eval", text, "--model", small_model])}
+    assert codes <= {0, 1, 2, 3}

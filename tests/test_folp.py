@@ -1,10 +1,9 @@
 import pytest
 
-from plausible.folp import (App, Eq, Exists, FImplies, FNot, FOr, Forall,
-                            Name, Plaus, PlausibleStructure, Rel,
-                            check_axioms, free_names, parse_fo, render_fo,
+from plausible.folp import (App, Eq, Forall, Name, Plaus, PlausibleStructure,
+                            Rel, check_axioms, free_names, parse_fo,
                             rename_bound, satisfies)
-from plausible.formula import ParseError
+from plausible.formula import And, Iff, Implies, Not, Or, ParseError, render
 from plausible.pseudotopology import PseudoTopology, principal_space
 
 
@@ -36,11 +35,11 @@ def test_parse_fo_examples():
     f = parse_fo("P x. R(x)")
     assert f == Plaus("x", Rel("R", (Name("x"),)))
     assert parse_fo("forall x. R(x) -> R(x)") == \
-        Forall("x", FImplies(Rel("R", (Name("x"),)), Rel("R", (Name("x"),))))
+        Forall("x", Implies(Rel("R", (Name("x"),)), Rel("R", (Name("x"),))))
     assert parse_fo("(forall x. R(x)) -> R(c)") == \
-        FImplies(Forall("x", Rel("R", (Name("x"),))), Rel("R", (Name("c"),)))
+        Implies(Forall("x", Rel("R", (Name("x"),))), Rel("R", (Name("c"),)))
     assert parse_fo("s(x) = c") == Eq(App("s", (Name("x"),)), Name("c"))
-    assert parse_fo("~P x. R(x)") == FNot(Plaus("x", Rel("R", (Name("x"),))))
+    assert parse_fo("~P x. R(x)") == Not(Plaus("x", Rel("R", (Name("x"),))))
     with pytest.raises(ValueError):
         parse_fo("forall x R(x)")
 
@@ -50,6 +49,9 @@ def test_parse_fo_examples():
     ("forall x R(x)", 9, (".",), "unexpected 'R'"),
     ("R(x) R(y)", 5, ("end",), "unexpected 'R'"),
     ("R(x) & $", 7, ("identifier", "operator"), "unexpected character '$'"),
+    ("#R(x)", 0, ("ident",), "unexpected '#'"),
+    ("R(x) = ", 7, ("ident",), "unexpected end of input"),
+    ("P x R(x)", 2, ("end",), "unexpected 'x'"),
 ])
 def test_parse_fo_errors_carry_offset(text, offset, expected, message):
     with pytest.raises(ParseError) as exc:
@@ -61,7 +63,7 @@ def test_parse_fo_errors_carry_offset(text, offset, expected, message):
 def test_quantifiers_scope_maximally():
     f = parse_fo("P x. R(x) | Q(x)")
     assert isinstance(f, Plaus)
-    assert isinstance(f.body, FOr)
+    assert isinstance(f.body, Or)
 
 
 def test_p_is_only_a_quantifier_before_a_dot():
@@ -76,12 +78,49 @@ def test_render_round_trip():
                  "s(x) = c", "~(R(x) & Q(y))", "exists y. Less(c, y)",
                  "forall x. exists y. Less(x, y)"]:
         f = parse_fo(text)
-        assert parse_fo(render_fo(f)) == f
+        assert parse_fo(render(f)) is f
+
+
+R_X = Rel("R", (Name("x"),))
+S = Rel("S", ())
+ALL_R = Forall("x", R_X)
+
+
+@pytest.mark.parametrize("f, text", [
+    (Implies(S, ALL_R), "S -> forall x. R(x)"),
+    (Implies(ALL_R, S), "(forall x. R(x)) -> S"),
+    (And(S, ALL_R), "S & (forall x. R(x))"),
+    (Iff(S, ALL_R), "S <-> forall x. R(x)"),
+    (Not(ALL_R), "~(forall x. R(x))"),
+    (Plaus("y", And(ALL_R, S)), "P y. (forall x. R(x)) & S"),
+    (Eq(App("f", (Name("x"), Name("c"))), Name("c")), "f(x, c) = c"),
+])
+def test_render_first_order_examples(f, text):
+    # a binder is bracketed except as the right operand of -> and <->
+    assert render(f) == text
+    assert parse_fo(text) is f
+
+
+def test_binder_is_bracketed_when_text_follows_it():
+    # S -> forall x. R(x) <-> S would read back as S -> forall x. (R(x) <-> S)
+    f = Iff(Implies(S, ALL_R), S)
+    assert render(f) == "S -> (forall x. R(x)) <-> S"
+    assert parse_fo(render(f)) is f
+    g = Implies(S, Implies(S, ALL_R))
+    assert render(Iff(g, S)) == "S -> S -> (forall x. R(x)) <-> S"
+    assert render(Iff(S, g)) == "S <-> S -> S -> forall x. R(x)"
+
+
+def test_first_order_formulas_are_interned():
+    text = "forall x. P y. Less(x, y) | s(x) = c"
+    assert parse_fo(text) is parse_fo(text)
+    assert Rel("R", (Name("x"),)) is R_X
 
 
 def test_free_names_and_rename():
     f = parse_fo("forall x. Less(x, y)")
     assert free_names(f) == {"y"}
+    assert free_names(App("s", (Name("x"), Name("c")))) == {"x", "c"}
     g = rename_bound(f.body, "y", "z")
     assert g == parse_fo("Less(x, z)")
     assert rename_bound(f, "x", "z") == f

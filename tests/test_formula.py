@@ -58,6 +58,24 @@ def test_parse_error_carries_offset_and_expectations():
         parse("(p")
 
 
+ANY = ("atom", "true", "false", "~", "#", "(")
+
+
+@pytest.mark.parametrize("text, offset, expected, message", [
+    ("p = q", 2, ("atom", "operator"), "unexpected character '='"),
+    ("p & ", 4, ANY, "unexpected end of input"),
+    ("(p", 2, (")",), "unexpected end of input"),
+    ("p q", 2, ("end",), "unexpected 'q'"),
+    ("#", 1, ANY, "unexpected end of input"),
+    ("x.y", 1, ("atom", "operator"), "unexpected character '.'"),
+])
+def test_parse_errors_are_pinned(text, offset, expected, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.offset, exc.value.expected) == (offset, expected)
+    assert str(exc.value).startswith(f"{message} at offset {offset}")
+
+
 def test_render_examples():
     assert render(Nabla(p)) == "#p"
     assert render(Implies(Nabla(p), p)) == "#p -> p"

@@ -127,6 +127,25 @@ def test_proof_file_bindings_with_spaces():
     assert check_proof(lines).ok
 
 
+def test_k_axiom_is_a_theorem():
+    # K follows from AX1 and the transfer rule, so the operator is monotone
+    # and closed under conjunction: a normal modal operator, not subnormal
+    steps = [
+        "(p -> q) & p -> q ; axiom LPC",
+        "#((p -> q) & p) -> #q ; rnabla 1",
+        "#(p -> q) & #p -> #((p -> q) & p) ; axiom AX1 A=p -> q B=p",
+        "(#(p -> q) & #p -> #((p -> q) & p)) -> (#((p -> q) & p) -> #q)"
+        " -> #(p -> q) -> #p -> #q ; axiom LPC",
+        "(#((p -> q) & p) -> #q) -> #(p -> q) -> #p -> #q ; mp 3 4",
+        "#(p -> q) -> #p -> #q ; mp 2 5",
+    ]
+    text = "\n".join(f"{n}. {step}" for n, step in enumerate(steps, 1))
+    lines, premises = parse_proof(text)
+    result = check_proof(lines, premises)
+    assert result.ok and result.is_theorem
+    assert result.proved == parse("#(p -> q) -> #p -> #q")
+
+
 def test_library_all_check_and_close():
     theorems = library_theorems()
     assert len(theorems) == 20

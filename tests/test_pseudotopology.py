@@ -65,7 +65,9 @@ def test_size_two_families():
 
 def test_enumeration_rejects_oversized_request():
     with pytest.raises(ValueError):
-        list(enumerate_spaces(MAX_UNIVERSE + 1))
+        enumerate_spaces(MAX_UNIVERSE + 1)
+    with pytest.raises(ValueError):
+        enumerate_spaces(0)
 
 
 def test_all_enumerated_spaces_validate():
