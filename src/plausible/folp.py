@@ -7,9 +7,10 @@ set defined by phi is one of the opens.
 The language shares the formula core of ``formula``: its connectives are
 ``Not``, ``And``, ``Or``, ``Implies`` and ``Iff``, its nodes are interned,
 ``formula.render`` prints it and ``parse_fo`` runs the shared parser.  The
-grammar adds ``forall x.``, ``exists x.``, ``P x.`` (each scoping as far
-to the right as possible), predicate application ``R(t, ...)`` and
-equality ``t1 = t2``; ``#`` is not part of it.
+grammar keeps the constants ``true`` and ``false`` and adds ``forall x.``,
+``exists x.``, ``P x.`` (each scoping as far to the right as possible),
+predicate application ``R(t, ...)`` and equality ``t1 = t2``; ``#`` is not
+part of it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import formula, pseudotopology
-from .formula import BINARY, And, Binder, Formula, Iff, Implies, Not, Or, render
+from .formula import (BINARY, And, Binder, Bottom, Formula, Iff, Implies,
+                      Not, Or, Top, render)
 from .pseudotopology import PseudoTopology
 
 
@@ -84,6 +86,8 @@ def free_names(f: Formula) -> set[str]:
         return {f.name}
     if isinstance(f, (Rel, App)):
         return set().union(*(free_names(a) for a in f.args))
+    if isinstance(f, (Top, Bottom)):
+        return set()
     if isinstance(f, Not):
         return free_names(f.child)
     if isinstance(f, (Eq, *BINARY)):
@@ -104,6 +108,8 @@ def rename_bound(f: Formula, old: str, new: str) -> Formula:
         return Rel(f.name, tuple(term(a) for a in f.args))
     if isinstance(f, Eq):
         return Eq(term(f.left), term(f.right))
+    if isinstance(f, (Top, Bottom)):
+        return f
     if isinstance(f, Not):
         return Not(rename_bound(f.child, old, new))
     if isinstance(f, BINARY):
@@ -171,17 +177,58 @@ class PlausibleStructure:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "PlausibleStructure":
-        return cls(
-            domain_size=doc["domain_size"],
-            relations={n: frozenset(tuple(t) for t in table)
-                       for n, table in doc.get("relations", {}).items()},
-            functions={n: {tuple(row[:-1]): row[-1] for row in graph}
-                       for n, graph in doc.get("functions", {}).items()},
-            constants=dict(doc.get("constants", {})),
-            omega=PseudoTopology(doc["domain_size"],
-                                 frozenset(doc["omega"])),
-        )
+    def from_json(cls, doc) -> "PlausibleStructure":
+        """The structure a ``to_json`` document describes.  A document of
+        the wrong shape or types raises ValueError naming the key."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"model must be a JSON object, got "
+                             f"{type(doc).__name__}")
+        for key in ("domain_size", "omega"):
+            if key not in doc:
+                raise ValueError(f"model has no {key!r}")
+        size = doc["domain_size"]
+        if not _is_int(size) or size < 1:
+            raise ValueError(f"'domain_size' must be a positive integer, "
+                             f"got {size!r}")
+        omega = doc["omega"]
+        if not isinstance(omega, list) or not all(map(_is_int, omega)):
+            raise ValueError("'omega' must be a list of integers")
+        relations = {name: frozenset(_json_rows(table, f"relations.{name}"))
+                     for name, table in _json_object(doc, "relations").items()}
+        functions = {}
+        for name, graph in _json_object(doc, "functions").items():
+            rows = _json_rows(graph, f"functions.{name}")
+            if not all(rows):
+                raise ValueError(f"'functions.{name}' rows must end in the "
+                                 "value")
+            functions[name] = {row[:-1]: row[-1] for row in rows}
+        constants = _json_object(doc, "constants")
+        for name, value in constants.items():
+            if not _is_int(value):
+                raise ValueError(f"'constants.{name}' must be an integer, "
+                                 f"got {value!r}")
+        return cls(domain_size=size, relations=relations,
+                   functions=functions, constants=dict(constants),
+                   omega=PseudoTopology(size, frozenset(omega)))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_object(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be a JSON object")
+    return value
+
+
+def _json_rows(value, key: str) -> list[tuple[int, ...]]:
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and all(map(_is_int, row))
+            for row in value):
+        raise ValueError(f"{key!r} must be a list of lists of integers")
+    return [tuple(row) for row in value]
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +285,10 @@ def satisfies(M: PlausibleStructure, f: Formula,
                 return bool(hits)
             mask = sum(1 << b for b in hits)
             return mask in M.omega.opens
+        if isinstance(g, Top):
+            return True
+        if isinstance(g, Bottom):
+            return False
         raise AssertionError(g)
 
     return sat(f, env)
@@ -326,6 +377,9 @@ class _Parser(formula._Parser):
 
     def primary(self) -> Formula:
         value = self.peek()[1]
+        if value in ("true", "false"):
+            self.take("ident")
+            return Top() if value == "true" else Bottom()
         binder = {"forall": Forall, "exists": Exists}.get(value)
         tokens, i = self.tokens, self.i
         if value == "P" and tokens[i + 1][0] == "ident" \

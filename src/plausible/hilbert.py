@@ -197,28 +197,39 @@ def _parse_justification(text: str) -> Justification:
             bindings[m.group(1)] = parse(arg_text[m.end():end])
         return AxiomJust(schema, tuple(sorted(bindings.items())))
     if head == "mp":
-        i, j = rest.split()
-        return MP(int(i), int(j))
+        return MP(*_line_numbers(head, rest, 2))
     if head == "rnabla":
-        return RNabla(int(rest.strip()))
+        return RNabla(*_line_numbers(head, rest, 1))
     raise ValueError(f"unknown justification {text!r}")
+
+
+def _line_numbers(head: str, rest: str, count: int) -> list[int]:
+    numbers = rest.split()
+    if len(numbers) != count or not all(n.isdecimal() for n in numbers):
+        wanted = "two line numbers" if count == 2 else "one line number"
+        raise ValueError(f"{head} takes {wanted}, got {rest!r}")
+    return [int(n) for n in numbers]
 
 
 def parse_proof(text: str) -> tuple[list[ProofLine], list[Formula]]:
     """Parse the line-oriented proof format; formulas on premise lines make
-    up the premise list."""
+    up the premise list.  An unreadable line raises ValueError naming its
+    line number in the text."""
     lines: list[ProofLine] = []
     premises: list[Formula] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("--"):
             continue
         m = _LINE_RE.match(raw)
         if m is None:
-            raise ValueError(f"malformed proof line: {raw!r}")
+            raise ValueError(f"line {number}: malformed proof line: {raw!r}")
         index = int(m.group(1))
-        f = parse(m.group(2))
-        just = _parse_justification(m.group(3))
+        try:
+            f = parse(m.group(2))
+            just = _parse_justification(m.group(3))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
         if isinstance(just, Premise):
             premises.append(f)
         lines.append(ProofLine(index, f, just))

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from plausible import algebra
 from plausible.algebra import (MAX_ATOMS, PlausibleAlgebra, all_valuations,
                                countermodel_to_json, enumerate_algebras,
-                               evaluate, find_countermodel, is_valid_up_to,
-                               plausible_elements, validate)
+                               evaluate, find_countermodel, from_frame,
+                               is_valid_up_to, plausible_elements, validate)
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, Top, atoms, erase_nabla, parse)
 
@@ -65,6 +65,40 @@ def test_enumeration_rejects_oversized_request():
         enumerate_algebras(-1)
 
 
+def _reflexive_relations(n):
+    """Every reflexive relation on n worlds as successor masks, built from
+    the subsets of the off-diagonal pairs."""
+    pairs = [(w, v) for w in range(n) for v in range(n) if w != v]
+    for chosen in range(1 << len(pairs)):
+        successors = [1 << w for w in range(n)]
+        for bit, (w, v) in enumerate(pairs):
+            if chosen >> bit & 1:
+                successors[w] |= 1 << v
+        yield successors
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frames_give_the_tables(n):
+    tables = sorted(from_frame(n, successors).sharp
+                    for successors in _reflexive_relations(n))
+    assert len(tables) == 2 ** (n * n - n) == ALGEBRA_COUNTS[n]
+    assert tables == [a.sharp for a in enumerate_algebras(n)]
+    for alg in enumerate_algebras(n):
+        assert validate(n, alg.sharp)
+        assert from_frame(n, alg.successors) == alg
+
+
+def test_from_frame_examples():
+    # one world: the identity; two worlds, 0 R 1 only: #{1} = {1}, #{0} = {}
+    assert from_frame(1, [1]).sharp == (0, 1)
+    assert from_frame(2, [3, 2]).sharp == (0, 0, 2, 3)
+    assert from_frame(2, [3, 2]).successors == (3, 2)
+    # not reflexive at world 0, then world 1; out of range; wrong length
+    for n, successors in ((1, [0]), (2, [1, 1]), (1, [3]), (2, [1, 2, 4])):
+        with pytest.raises(ValueError, match="successors"):
+            from_frame(n, successors)
+
+
 def test_evaluate_examples():
     alg = PlausibleAlgebra(1, (0, 1))
     assert evaluate(parse("#p -> p"), alg, {"p": 0}) == alg.top
@@ -90,6 +124,12 @@ def test_countermodel_examples():
 
     assert find_countermodel(parse("#p -> p")) is None
     assert find_countermodel(parse("#(p | ~p)")) is None
+
+    # a bare leaf is the formula's own value slot
+    assert find_countermodel(parse("true")) is None
+    assert find_countermodel(parse("false")) == (PlausibleAlgebra(1, (0, 1)),
+                                                 {})
+    assert find_countermodel(parse("p"))[1] == {"p": 0}
 
 
 def _first_countermodel_by_loop(f, max_atoms):
@@ -144,6 +184,31 @@ def test_countermodel_matches_loop_across_blocks():
     alg, _ = _check_against_loop(f, 3)
     assert alg.sharp == (0, 0, 0, 1, 4, 4, 4, 7)
     assert algebra._BLOCK_ELEMENTS // 8 ** 4 < 22
+
+
+def test_countermodel_on_the_valuation_chunk_path():
+    # [DERIVED] witness found by the earlier matrix search: six atoms give
+    # rows of 8**6 valuations at size 8, wider than the cap, so each row
+    # goes in chunks; table 0 holds everywhere, table 1 fails in its
+    # fourth chunk, at valuation index 221232
+    f = parse("#~(~f & (d -> e | g) | (~b | ~a))"
+              " -> ##~(~f & (d -> e | g) | (~b | ~a))")
+    alg, valuation = find_countermodel(f)
+    assert alg.sharp == (0, 0, 0, 0, 0, 0, 2, 7)
+    assert valuation == {"a": 6, "b": 6, "d": 0, "e": 0, "f": 6, "g": 0}
+    assert evaluate(f, alg, valuation) != alg.top
+    assert 8 ** 6 > algebra._BLOCK_ELEMENTS
+
+
+def test_index_bit_masks_match_their_definition():
+    # the atom masks of a block of valuations, aligned or not, inside one
+    # run of a high bit or across runs of a low one
+    for bit in range(6):
+        for start in range(0, 80, 3):
+            for length in range(1, 40):
+                expected = sum(1 << j for j in range(length)
+                               if (start + j) >> bit & 1)
+                assert algebra._index_bit(bit, start, length) == expected
 
 
 def test_countermodel_is_deterministic():

@@ -97,6 +97,19 @@ def test_check_proof(tmp_path, capsys):
     assert run(["check-proof", str(tmp_path / "missing.prf")]) == 2
 
 
+def test_check_proof_names_the_unreadable_line(tmp_path, capsys):
+    bad = tmp_path / "bad.prf"
+    bad.write_text("1. p ; mp x y\n")
+    assert run(["check-proof", str(bad)]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: line 1: mp takes two line numbers, got 'x y'\n")
+
+    bad.write_text("-- comment\n1. p ; premise\n2. p ; rnabla\n")
+    assert run(["check-proof", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 3: rnabla takes one line number, got ''\n"
+
+
 def test_enum_spaces(capsys):
     assert run(["enum-spaces", "--size", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -151,6 +164,27 @@ def test_fol_eval(model_file, capsys):
     assert capsys.readouterr().out.strip() == "false"
 
     assert run(["fol-eval", "forall x R(x)", "--model", model_file]) == 2
+
+
+def test_fol_eval_reads_the_constants(model_file, capsys):
+    assert run(["fol-eval", "true", "--model", model_file]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert run(["fol-eval", "false", "--model", model_file]) == 1
+    assert capsys.readouterr().out == "false\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"domain_size": "3", "omega": [1]},
+     "'domain_size' must be a positive integer, got '3'"),
+    ([1, 2], "model must be a JSON object, got list"),
+    ({"domain_size": 1, "omega": [1], "relations": {"R": 3}},
+     "'relations.R' must be a list of lists of integers"),
+], ids=["domain-size-text", "top-level-list", "relation-not-a-list"])
+def test_fol_eval_rejects_malformed_models(tmp_path, capsys, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["fol-eval", "true", "--model", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_unknown_command_is_input_error():

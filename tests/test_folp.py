@@ -3,7 +3,8 @@ import pytest
 from plausible.folp import (App, Eq, Forall, Name, Plaus, PlausibleStructure,
                             Rel, check_axioms, free_names, parse_fo,
                             rename_bound, satisfies)
-from plausible.formula import And, Iff, Implies, Not, Or, ParseError, render
+from plausible.formula import (And, Bottom, Iff, Implies, Not, Or,
+                               ParseError, Top, render)
 from plausible.pseudotopology import PseudoTopology, principal_space
 
 
@@ -58,6 +59,21 @@ def test_parse_fo_errors_carry_offset(text, offset, expected, message):
         parse_fo(text)
     assert (exc.value.offset, exc.value.expected) == (offset, expected)
     assert str(exc.value).startswith(f"{message} at offset {offset}")
+
+
+def test_constants_are_true_and_false(M):
+    assert parse_fo("true") is Top()
+    assert parse_fo("R(x) | false") is Or(Rel("R", (Name("x"),)), Bottom())
+    assert parse_fo("R(true)") is Rel("R", (Name("true"),))
+    assert satisfies(M, parse_fo("true"))
+    assert not satisfies(M, parse_fo("false"))
+    assert satisfies(M, parse_fo("P x. true"))
+    assert not satisfies(M, parse_fo("exists x. false"))
+    assert free_names(parse_fo("forall x. true -> R(x)")) == set()
+    assert rename_bound(parse_fo("false | R(y)"), "y", "z") is \
+        parse_fo("false | R(z)")
+    for text in ("true", "~false", "P x. R(x) & true"):
+        assert parse_fo(render(parse_fo(text))) is parse_fo(text)
 
 
 def test_quantifiers_scope_maximally():

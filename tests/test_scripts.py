@@ -1,5 +1,6 @@
-"""Smoke test of the sweep scripts: each runs as its own process against
-the package sources, exits 0 and prints its summary line."""
+"""Smoke tests in fresh interpreters: each sweep script runs as its own
+process against the package sources, exits 0 and prints its summary line,
+and the package runs without importing numpy."""
 
 import os
 import subprocess
@@ -23,3 +24,17 @@ def test_script_runs(argv, line):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert line in done.stdout.splitlines(), done.stdout
+
+
+def test_package_does_not_import_numpy():
+    code = ("import sys\n"
+            "import plausible, plausible.cli\n"
+            "from plausible.algebra import find_countermodel\n"
+            "from plausible.formula import parse\n"
+            "assert find_countermodel(parse('#p -> #q')) is not None\n"
+            "print('numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
