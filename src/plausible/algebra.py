@@ -12,11 +12,15 @@ table give the relation back, and ``enumerate_algebras`` lists the tables
 of the 2^(n^2 - n) reflexive relations in lexicographic order.
 
 ``find_countermodel`` searches all tables and valuations of one size at
-once, with Python ints as bit-vectors: configuration i = row * width +
-valuation index, and a formula's value is one bit-vector per world, bit i
-set where it holds at that world, the worlds' vectors packed as lanes of
-one int (see ``_block_masks`` and ``_run``).  ``evaluate`` is the plain
-one-algebra, one-valuation reference.
+once, with Python ints as bit-vectors over one flat index: configuration
+i = table * 2^(n k) + valuation index for k atoms on n worlds, and a
+formula's value is one bit-vector per world, bit i set where it holds at
+that world, the worlds' vectors packed as lanes of one int.  The formula is
+compiled once into straight-line code (``_program``) and run block by block
+(``_block_masks``, ``_run``).  The same program decides
+``formula.is_classical_tautology``: the one-world frame is the 2-element
+algebra, and the atoms and #-subformulas of the formula are its units.
+``evaluate`` is the plain one-algebra, one-valuation reference.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .formula import (BINARY, UNARY, And, Atom, Bottom, Formula, Iff,
-                      Implies, Nabla, Not, Or, Top)
+                      Implies, Nabla, Not, Or, Top, atoms)
 
 MAX_ATOMS = 3
 
@@ -182,10 +186,10 @@ def evaluate(f: Formula, alg: PlausibleAlgebra, valuation: Valuation) -> int:
     raise AssertionError(f"unevaluated node {f!r}")
 
 
-# Tables x valuations evaluated in one pass, as bit-vectors.  A size's
-# tables are split into blocks of rows, and a row wider than this into
-# chunks of valuations, so that no world's lane of a bit-vector is longer
-# than this however many atoms a formula has.
+# Configurations evaluated in one pass, as bit-vectors: the tables x
+# valuations of a size are cut into blocks of this many configurations, so
+# that no world's lane of a bit-vector is longer than this however many
+# atoms a formula has.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -213,8 +217,8 @@ def _index_bit(bit: int, start: int, length: int) -> int:
         if (start + first) >> bit & 1:
             out |= ((1 << (length - first)) - 1) << first
         return out
-    # the pattern has period 2 * half, so every chunk of a long row that
-    # starts at the same phase shares one cached mask
+    # the pattern has period 2 * half, so every block that starts at the
+    # same phase shares one cached mask
     return _periodic_bit(bit, start % (2 * half), length)
 
 
@@ -226,52 +230,51 @@ def _periodic_bit(bit: int, phase: int, length: int) -> int:
     return _repeat(ones, 2 * half, periods) >> phase & ((1 << length) - 1)
 
 
-def _block_masks(n: int, n_names: int, r0: int, n_rows: int, c0: int,
-                 n_cols: int):
-    """The bit-vectors of one block: tables r0 .. r0 + n_rows - 1 of size n
-    by valuations c0 .. c0 + n_cols - 1, configuration i = row * n_cols +
-    col, one lane of n_rows * n_cols bits per world, world w in lane w.
+@functools.lru_cache(maxsize=32)
+def _block_masks(n: int, k: int, i0: int, length: int):
+    """The bit-vectors of configurations i0 .. i0 + length - 1 of size n
+    with k units, i = table * 2^(n k) + valuation index, one lane of
+    ``length`` bits per world, world w in lane w.  Cached: at most 32
+    blocks of at most k + n bit-vectors.
 
     Returns (digits, steps, full): ``digits[j]`` marks, in lane w, where
-    world w is in the value of the j-th atom (digit j of the valuation
-    index, first atom most significant); ``steps`` lists, for each offset
-    d in 1..n-1 that some relation uses, the lane shifts that bring world
-    w + d (mod n) into lane w and the complement of the mask that has, in
-    lane w, the rows whose relation has w R w + d; ``full`` sets every lane.
+    world w is in the j-th unit's value, digit j of the valuation index
+    (first unit most significant), which is bit n (k - 1 - j) + w of i;
+    ``steps`` lists, for each offset d in 1..n-1 that some relation of the
+    block uses, the lane shifts that bring world w + d (mod n) into lane w
+    and the complement of the mask of the configurations whose relation
+    has w R w + d, in lane w; ``full`` sets every lane.
     """
-    lane = n_rows * n_cols
-    row = (1 << n_cols) - 1
-    frames = [alg.successors for alg in _algebras(n)[r0:r0 + n_rows]]
-    digits = tuple(
-        sum(_repeat(_index_bit(n * (n_names - 1 - j) + w, c0, n_cols),
-                    n_cols, n_rows) << w * lane for w in range(n))
-        for j in range(n_names))
+    digits = tuple(sum(_index_bit(n * (k - 1 - j) + w, i0, length)
+                       << w * length for w in range(n))
+                   for j in range(k))
+    shift = n * k
+    runs = []  # (the configurations of one table, its relation)
+    for t in range(i0 >> shift, ((i0 + length - 1) >> shift) + 1):
+        lo = max(i0, t << shift) - i0
+        hi = min(i0 + length, (t + 1) << shift) - i0
+        runs.append((((1 << (hi - lo)) - 1) << lo,
+                     _algebras(n)[t].successors))
     steps = []
     for d in range(1, n):
-        edge = sum(row << (w * lane + r * n_cols)
-                   for w in range(n) for r, successors in enumerate(frames)
+        edge = sum(run << w * length for w in range(n)
+                   for run, successors in runs
                    if successors[w] >> (w + d) % n & 1)
         if edge:
-            steps.append((d * lane, (n - d) * lane, ~edge))
-    return digits, tuple(steps), _repeat((1 << lane) - 1, lane, n)
+            steps.append((d * length, (n - d) * length, ~edge))
+    return digits, tuple(steps), _repeat((1 << length) - 1, length, n)
 
 
-@functools.lru_cache(maxsize=32)
-def _row_block_masks(n: int, n_names: int, r0: int, n_rows: int):
-    """``_block_masks`` for a block of whole rows, cached: at most 32
-    blocks of at most n_names + n bit-vectors of at most n lanes of
-    ``_BLOCK_ELEMENTS`` bits each."""
-    return _block_masks(n, n_names, r0, n_rows, 0, 1 << (n * n_names))
-
-
-def _program(f: Formula, names: list[str]) -> tuple[list[tuple], int]:
+def _program(f: Formula, units: list[Formula]) -> tuple[list[tuple], int]:
     """f as straight-line code over value slots, and the slot of f.  Slots
-    0 .. len(names) - 1 hold the atoms, the next two true and false, and
-    each instruction (node class, slot, slot) appends the value of one
-    distinct subformula, children first."""
-    slots = {Atom(name): i for i, name in enumerate(names)}
-    slots[Top()] = len(names)
-    slots[Bottom()] = len(names) + 1
+    0 .. len(units) - 1 hold the units, the subformulas whose values are
+    the digits of the valuation index (atoms, and for a classical check
+    also #-subformulas); the next two hold true and false, and each
+    instruction (node class, slot, slot) appends the value of one distinct
+    subformula, children first."""
+    slots = {unit: i for i, unit in enumerate(units)}
+    slots[Top()] = len(units)
+    slots[Bottom()] = len(units) + 1
     code: list[tuple] = []
 
     def emit(g: Formula) -> int:
@@ -295,8 +298,8 @@ def _run(code: list[tuple], digits: tuple[int, ...], steps: tuple,
     lane w of a value has bit i set where its subformula holds at world w
     in configuration i.  ``#A`` keeps A at world w only where each edge
     w R v leads to a world v where A holds: for each offset d, A is ANDed
-    with its lanes rotated by d, or-ed with the rows that lack the edge
-    w R w + d."""
+    with its lanes rotated by d, or-ed with the configurations whose
+    relation lacks the edge w R w + d."""
     values = [*digits, full, 0]
     append = values.append
     for kind, i, j in code:
@@ -321,6 +324,23 @@ def _run(code: list[tuple], digits: tuple[int, ...], steps: tuple,
     return values
 
 
+def _first_failure(code: list[tuple], result: int, n: int,
+                   k: int) -> Optional[int]:
+    """The lowest configuration of size n with k units (``_block_masks``)
+    where slot ``result`` of the program fails at some world, or None."""
+    total = len(_algebras(n)) << n * k
+    for i0 in range(0, total, _BLOCK_ELEMENTS):
+        length = min(_BLOCK_ELEMENTS, total - i0)
+        digits, steps, full = _block_masks(n, k, i0, length)
+        bad = full ^ _run(code, digits, steps, full)[result]
+        for w in range(1, n):
+            bad |= bad >> w * length
+        bad &= (1 << length) - 1
+        if bad:
+            return i0 + (bad & -bad).bit_length() - 1
+    return None
+
+
 def find_countermodel(f: Formula, max_atoms: int = MAX_ATOMS
                       ) -> Optional[tuple[PlausibleAlgebra, Valuation]]:
     """First (algebra, valuation) with value below top, or None.
@@ -329,59 +349,25 @@ def find_countermodel(f: Formula, max_atoms: int = MAX_ATOMS
     valuations lexicographic over the formula's atoms sorted by name.  The
     witness is therefore deterministic.
 
-    All sharp tables of one size are evaluated together, bit-parallel over
-    their frames (see ``from_frame``): configuration i = row * width +
-    valuation index, where width is the number of valuations, and a
-    formula's value is one bit-vector per world, bit i set where the
-    formula holds at that world; the n worlds' vectors sit side by side as
-    lanes of one int.  Atoms are digit masks of the valuation index, the
-    Boolean connectives are int operations, and ``#A`` at world w keeps
-    A_w only in the rows where A holds at every successor of w.  The
-    lowest bit where some world fails is the first entry below top in
-    row-major order: the same witness a loop over tables, then valuations,
-    finds.  Rows go in blocks, and overlong rows in chunks of valuations,
-    of at most ``_BLOCK_ELEMENTS`` bits per lane, in that same order; only
-    the masks of blocks of whole rows are cached.  The formula is compiled
-    once (``_program``) and run on every block.
+    Each size is one flat run of configurations i = table * 2^(n k) +
+    valuation index (see the module docstring): the table is the high bits
+    of i and the atoms' values its low bits, n per atom.  So the lowest i
+    where some world fails, found block by block in ascending order, is the
+    witness a loop over tables, then valuations, finds.
     """
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
-    from .formula import atoms as formula_atoms
-    names = sorted(formula_atoms(f))
+    names = sorted(atoms(f))
     k = len(names)
-    code, result = _program(f, names)
+    code, result = _program(f, [Atom(name) for name in names])
     for n in range(1, max_atoms + 1):
-        algebras = _algebras(n)
-        top = (1 << n) - 1
-        width = 1 << (n * k)
-        n_rows = max(1, _BLOCK_ELEMENTS // width)
-        n_cols = min(width, _BLOCK_ELEMENTS)
-        for r0 in range(0, len(algebras), n_rows):
-            rows = min(n_rows, len(algebras) - r0)
-            for c0 in range(0, width, n_cols):
-                cols = min(n_cols, width - c0)
-                if cols == width:
-                    digits, steps, full = _row_block_masks(n, k, r0, rows)
-                else:
-                    digits, steps, full = _block_masks(n, k, r0, rows, c0,
-                                                       cols)
-                value = _run(code, digits, steps, full)[result]
-                lane = rows * cols
-                held = value
-                for w in range(1, n):
-                    held &= value >> w * lane
-                bad = (1 << lane) - 1 & ~held
-                if bad:
-                    row, col = divmod((bad & -bad).bit_length() - 1, cols)
-                    index = c0 + col
-                    valuation = {name: index >> (n * (k - 1 - j)) & top
-                                 for j, name in enumerate(names)}
-                    return algebras[r0 + row], valuation
+        i = _first_failure(code, result, n, k)
+        if i is not None:
+            top = (1 << n) - 1
+            return _algebras(n)[i >> n * k], {
+                name: i >> n * (k - 1 - j) & top
+                for j, name in enumerate(names)}
     return None
-
-
-def is_valid_up_to(f: Formula, max_atoms: int = MAX_ATOMS) -> bool:
-    return find_countermodel(f, max_atoms) is None
 
 
 def plausible_elements(alg: PlausibleAlgebra) -> set[int]:

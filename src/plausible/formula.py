@@ -11,11 +11,15 @@ Formulas are immutable and interned (hash-consed): building a formula
 returns the one live node with the same constructor and children, so
 equality is identity, which coincides with syntactic equality, and hashing
 takes constant time.  Nothing is normalized implicitly.
+
+Evaluation lives in ``algebra``: ``algebra.evaluate`` is the one-model
+reference, and one compiled bit-vector evaluator serves both the
+countermodel search and ``is_classical_tautology`` here, which loads
+``algebra`` on its first call.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import threading
 import weakref
@@ -359,23 +363,20 @@ def _render(f: Formula, last: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# classical evaluation
+# classical evaluation (run by ``algebra``'s compiled evaluator)
 
 def pseudo_atoms(f: Formula) -> list[Formula]:
     """Atoms and maximal #-subformulas, the evaluation units for the
     classical fragment.  Atoms come first, lexicographically; #-subformulas
     follow in first-occurrence order."""
-    names: list[str] = []
-    nablas: list[Formula] = []
+    found: dict[str, Atom] = {}
+    nablas: dict[Formula, None] = {}  # keeps the first-occurrence order
 
     def walk(g: Formula):
         if isinstance(g, Nabla):
-            if g not in nablas:
-                nablas.append(g)
-            return
-        if isinstance(g, Atom):
-            if g.name not in names:
-                names.append(g.name)
+            nablas[g] = None
+        elif isinstance(g, Atom):
+            found[g.name] = g
         elif isinstance(g, BINARY):
             walk(g.left)
             walk(g.right)
@@ -383,34 +384,15 @@ def pseudo_atoms(f: Formula) -> list[Formula]:
             walk(g.child)
 
     walk(f)
-    return [Atom(n) for n in sorted(names)] + nablas
-
-
-def _eval_classical(f: Formula, env: dict[Formula, bool]) -> bool:
-    if f in env:
-        return env[f]
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Not):
-        return not _eval_classical(f.child, env)
-    if isinstance(f, And):
-        return _eval_classical(f.left, env) and _eval_classical(f.right, env)
-    if isinstance(f, Or):
-        return _eval_classical(f.left, env) or _eval_classical(f.right, env)
-    if isinstance(f, Implies):
-        return (not _eval_classical(f.left, env)) or _eval_classical(f.right, env)
-    if isinstance(f, Iff):
-        return _eval_classical(f.left, env) == _eval_classical(f.right, env)
-    raise AssertionError(f"unevaluated node {f!r}")
+    return [found[name] for name in sorted(found)] + list(nablas)
 
 
 def is_classical_tautology(f: Formula) -> bool:
     """True iff f holds under every Boolean assignment to its atoms and its
-    maximal #-subformulas (the latter treated as opaque units)."""
+    maximal #-subformulas (the latter treated as opaque units): the
+    countermodel search's compiled evaluation on the one-world frame, with
+    those units in the place of atoms."""
+    from . import algebra  # on first use: algebra is built on this module
     units = pseudo_atoms(f)
-    for bits in itertools.product((False, True), repeat=len(units)):
-        if not _eval_classical(f, dict(zip(units, bits))):
-            return False
-    return True
+    code, result = algebra._program(f, units)
+    return algebra._first_failure(code, result, 1, len(units)) is None

@@ -180,7 +180,7 @@ _BINDING_RE = re.compile(r"(?:^|\s)([A-Z])=")
 
 def _parse_justification(text: str) -> Justification:
     parts = text.split(None, 1)
-    head = parts[0].lower()
+    head = parts[0].lower() if parts else ""
     rest = parts[1] if len(parts) > 1 else ""
     if head == "premise":
         return Premise()

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .formula import And, Bottom, Formula, Iff, Or, is_classical_tautology
-
 MAX_UNIVERSE = 4
 
 
@@ -38,7 +36,6 @@ class Verdict:
     ok: bool
     axiom: Optional[str] = None
     witness: Optional[tuple] = None
-    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
@@ -131,53 +128,3 @@ def principal_space(universe_size: int, point: int) -> PseudoTopology:
                           frozenset(m for m in range(1, full + 1)
                                     if m >> point & 1))
 
-
-def check_valuation_constraints(space: PseudoTopology,
-                                valuation: dict[Formula, int],
-                                formulas: list[Formula]) -> Verdict:
-    """Check the listed constraints on an interpretation of formulas as
-    subsets, relative to the opens-family:
-
-    1. classical tautologies map to the whole universe;
-    2. if two listed formulas map into the opens, so does their listed
-       conjunction;
-    3. if either of two listed formulas maps into the opens, so does their
-       listed disjunction;
-    4. classically equivalent listed formulas are in the opens together;
-    5. the interpretation of falsum is not open.
-
-    Only these constraints are checked; no satisfaction relation is defined.
-    """
-    opens = space.opens
-    for f in formulas:
-        if f not in valuation:
-            raise ValueError(f"valuation missing listed formula {f}")
-        if is_classical_tautology(f) and valuation[f] != space.full:
-            return Verdict(False, "tautology", (str(f),),
-                           "tautology not mapped to the universe")
-    for f in formulas:
-        for g in formulas:
-            conj = And(f, g)
-            if conj in valuation and valuation[f] in opens \
-                    and valuation[g] in opens and valuation[conj] not in opens:
-                return Verdict(False, "conjunction", (str(f), str(g)),
-                               "open pair with non-open conjunction")
-            disj = Or(f, g)
-            if disj in valuation and (valuation[f] in opens
-                                      or valuation[g] in opens) \
-                    and valuation[disj] not in opens:
-                return Verdict(False, "disjunction", (str(f), str(g)),
-                               "open disjunct with non-open disjunction")
-    seen = []
-    for f in formulas:
-        for g in seen:
-            if is_classical_tautology(Iff(f, g)) \
-                    and (valuation[f] in opens) != (valuation[g] in opens):
-                return Verdict(False, "equivalence", (str(f), str(g)),
-                               "equivalent formulas split by the opens")
-        seen.append(f)
-    bot = Bottom()
-    if bot in valuation and valuation[bot] in opens:
-        return Verdict(False, "falsum", (str(bot),),
-                       "falsum interpreted as an open")
-    return Verdict(True)

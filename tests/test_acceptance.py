@@ -8,9 +8,10 @@ import hashlib
 import itertools
 import json
 
-from plausible.algebra import (countermodel_to_json, enumerate_algebras,
-                               evaluate, find_countermodel, validate as
-                               validate_algebra)
+from plausible.algebra import (PlausibleAlgebra, countermodel_to_json,
+                               enumerate_algebras, evaluate,
+                               find_countermodel, plausible_elements,
+                               validate as validate_algebra)
 from plausible.folp import (Forall, Name, PlausibleStructure, Plaus, Rel,
                             check_axioms, parse_fo, satisfies,
                             unary_structures)
@@ -181,6 +182,18 @@ def _brute_force_space_count(size):
     return count
 
 
+def _interior(space):
+    """The interior map of a space: #a is the union of the opens inside a."""
+    table = []
+    for a in range(space.full + 1):
+        inside = 0
+        for o in space.opens:
+            if o & ~a == 0:
+                inside |= o
+        table.append(inside)
+    return PlausibleAlgebra(space.universe_size, tuple(table))
+
+
 def test_criterion_8_pseudotopology_suite():
     problems = []
     counts = {}
@@ -199,10 +212,19 @@ def test_criterion_8_pseudotopology_suite():
             singles = [m for m in space.opens if bin(m).count("1") == 1]
             if len(singles) > 1:
                 problems.append(("two singletons", space))
+            # the interior map is a plausibility operator whose nonzero
+            # fixed points are exactly the opens
+            interior = _interior(space)
+            if not validate_algebra(size, interior.sharp):
+                problems.append(("interior invalid", space))
+            if plausible_elements(interior) != space.opens:
+                problems.append(("interior fixed points", space))
+    if checked != 165:
+        problems.append(("spaces checked", checked))
     ok = not problems
     _report(8, "pseudo-topology suite", ok,
             f"counts {counts[1]}/{counts[2]}/{counts[3]}, "
-            f"{checked} spaces checked")
+            f"{checked} spaces checked, interior maps valid")
     assert ok, problems[:5]
 
 

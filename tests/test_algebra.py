@@ -8,7 +8,7 @@ from plausible import algebra
 from plausible.algebra import (MAX_ATOMS, PlausibleAlgebra, all_valuations,
                                countermodel_to_json, enumerate_algebras,
                                evaluate, find_countermodel, from_frame,
-                               is_valid_up_to, plausible_elements, validate)
+                               plausible_elements, validate)
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, Top, atoms, erase_nabla, parse)
 
@@ -165,11 +165,12 @@ _formulas = st.recursive(
 @settings(deadline=None)
 @given(_formulas, st.integers(1, 2),
        st.sampled_from([3, 64, algebra._BLOCK_ELEMENTS]))
-# table 1 is refuted in an earlier chunk of valuations than table 0
+# table 1 is refuted at an earlier valuation than table 0
 @example(parse("q | p | #~(#p & q)"), 2, 3)
 def test_countermodel_matches_loop(f, max_atoms, block_elements):
-    """Small caps split the tables into blocks of rows and overlong rows
-    into chunks of valuations; the witness must not depend on the split.
+    """Small caps cut the flat run of configurations into blocks that
+    split tables and, where a table has more valuations than the cap, its
+    valuations; the witness must not depend on where the blocks fall.
     f <-> erase(f) holds in the 2-element algebra, where # is the identity,
     so its search goes on to the larger algebras."""
     with mock.patch.object(algebra, "_BLOCK_ELEMENTS", block_elements):
@@ -178,8 +179,9 @@ def test_countermodel_matches_loop(f, max_atoms, block_elements):
 
 
 def test_countermodel_matches_loop_across_blocks():
-    # Four atoms give rows of 8**4 valuations at size 8, so the 64 tables
-    # of that size take several blocks; the first witness is table 22.
+    # Four atoms give 8**4 valuations per table at size 8, so the 64
+    # tables of that size take several blocks; the first witness is table
+    # 22.
     f = parse("#~#r | #(#(##~r -> q) | s) | (p & ~p)")
     alg, _ = _check_against_loop(f, 3)
     assert alg.sharp == (0, 0, 0, 1, 4, 4, 4, 7)
@@ -188,9 +190,9 @@ def test_countermodel_matches_loop_across_blocks():
 
 def test_countermodel_on_the_valuation_chunk_path():
     # [DERIVED] witness found by the earlier matrix search: six atoms give
-    # rows of 8**6 valuations at size 8, wider than the cap, so each row
-    # goes in chunks; table 0 holds everywhere, table 1 fails in its
-    # fourth chunk, at valuation index 221232
+    # 8**6 valuations per table at size 8, more than the cap, so each
+    # table spans several blocks; table 0 holds everywhere, table 1 fails
+    # in its fourth block, at valuation index 221232
     f = parse("#~(~f & (d -> e | g) | (~b | ~a))"
               " -> ##~(~f & (d -> e | g) | (~b | ~a))")
     alg, valuation = find_countermodel(f)
@@ -209,6 +211,36 @@ def test_index_bit_masks_match_their_definition():
                 expected = sum(1 << j for j in range(length)
                                if (start + j) >> bit & 1)
                 assert algebra._index_bit(bit, start, length) == expected
+
+
+def test_block_masks_match_their_definition():
+    # digits and edges of whole sizes and of blocks that start and end
+    # inside a table, configuration i = table * 2**(n k) + valuation index
+    for n in (1, 2, 3):
+        frames = [alg.successors for alg in enumerate_algebras(n)]
+        for k in (0, 1, 2):
+            total = len(frames) << n * k
+            for i0, length in ((0, total), (1, 5), (5, 13),
+                               (total // 3, total // 2)):
+                if not 0 < length <= total - i0:
+                    continue
+                digits, steps, full = algebra._block_masks(n, k, i0, length)
+
+                def lane(mask, w):
+                    return mask >> w * length & ((1 << length) - 1)
+
+                def where(test):
+                    return sum(1 << b for b in range(length) if test(i0 + b))
+
+                assert full == (1 << n * length) - 1
+                for j, w in itertools.product(range(k), range(n)):
+                    assert lane(digits[j], w) == where(
+                        lambda i: i >> n * (k - 1 - j) + w & 1)
+                edges = {down // length: ~not_edge
+                         for down, _, not_edge in steps}
+                for d, w in itertools.product(range(1, n), range(n)):
+                    assert lane(edges.get(d, 0), w) == where(
+                        lambda i: frames[i >> n * k][w] >> (w + d) % n & 1)
 
 
 def test_countermodel_is_deterministic():
@@ -230,10 +262,10 @@ def test_countermodel_json_shape():
 
 
 def test_is_valid_up_to():
-    assert is_valid_up_to(parse("(#p & #q) -> #(p & q)"))
+    assert find_countermodel(parse("(#p & #q) -> #(p & q)"), 3) is None
     # the conjunction law is in fact an equivalence over these algebras
-    assert is_valid_up_to(parse("#(p & q) <-> (#p & #q)"))
-    assert not is_valid_up_to(parse("p -> #p"), max_atoms=2)
+    assert find_countermodel(parse("#(p & q) <-> (#p & #q)"), 3) is None
+    assert find_countermodel(parse("p -> #p"), 2) is not None
 
 
 def test_plausible_elements():

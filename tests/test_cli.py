@@ -233,3 +233,82 @@ def test_exit_codes_hold_on_any_text(small_model, text):
                  run(["countermodel", text, "--max-atoms", "1"]),
                  run(["fol-eval", text, "--model", small_model])}
     assert codes <= {0, 1, 2, 3}
+
+
+def _holds_contract(argv, verdicts):
+    """Run the CLI: the exit code is one of 0-3, nothing escapes as a
+    traceback, and exit 1 comes with its verdict line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue().splitlines()[-1].startswith(verdicts)
+
+
+numbers = st.integers(0, 6).map(str)
+justifications = st.one_of(
+    st.sampled_from(["premise", "axiom LPC", "axiom", "axiom AX9", ""]),
+    st.tuples(st.sampled_from(["AX1", "AX2", "AX3", "AX4"]), texts, texts)
+    .map(lambda t: f"axiom {t[0]} A={t[1]} B={t[2]}"),
+    st.tuples(st.sampled_from(["mp", "rnabla"]),
+              st.lists(numbers | texts, max_size=3))
+    .map(lambda t: " ".join([t[0], *t[1]])),
+    texts)
+proof_lines = st.one_of(
+    st.tuples(numbers, texts, justifications)
+    .map(lambda t: f"{t[0]}. {t[1]} ; {t[2]}"),
+    st.sampled_from(["", "-- note", "1. p", "x. p ; premise"]), texts)
+proof_files = st.one_of(
+    st.lists(proof_lines, max_size=6).map("\n".join).map(str.encode),
+    st.binary(max_size=24))
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs") / "input"
+
+
+@settings(max_examples=100, deadline=None)
+@given(proof_files)
+@example(b"1. p ;\n")  # an empty justification once escaped as IndexError
+def test_check_proof_exit_codes_hold_on_any_file(scratch_file, data):
+    scratch_file.write_bytes(data)
+    _holds_contract(["check-proof", str(scratch_file)], ("rejected at line",))
+
+
+small_ints = st.integers(-1, 9)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), small_ints, st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6)
+rows = st.lists(st.lists(small_ints, max_size=3), max_size=4)
+
+
+def _or_junk(strategy):
+    return st.one_of(strategy, json_values)
+
+
+model_docs = st.one_of(st.fixed_dictionaries({}, optional={
+    "domain_size": _or_junk(st.integers(0, 3)),
+    "omega": _or_junk(st.lists(st.integers(0, 9), max_size=5)),
+    "relations": _or_junk(st.dictionaries(st.sampled_from(["R", "S"]),
+                                          _or_junk(rows), max_size=2)),
+    "functions": _or_junk(st.dictionaries(st.just("f"), _or_junk(rows),
+                                          max_size=1)),
+    "constants": _or_junk(st.dictionaries(st.just("c"), _or_junk(small_ints),
+                                          max_size=1)),
+}), json_values)
+fo_texts = st.one_of(st.sampled_from([
+    "true", "R(c)", "S(c, c)", "P x. R(x)", "forall x. R(x) -> S(x)",
+    "exists x. f(x) = c", "P x. ~S(x) | x = c", "R(y)"]), texts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(model_docs.map(json.dumps), st.text(max_size=12)), fo_texts)
+def test_fol_eval_exit_codes_hold_on_any_model(scratch_file, doc, text):
+    scratch_file.write_text(doc, encoding="utf-8")
+    _holds_contract(["fol-eval", text, "--model", str(scratch_file)],
+                    ("false",))

@@ -175,11 +175,42 @@ def test_proper_subformulas_are_smaller(f):
         assert size(c) < size(f)
 
 
+def _opaque(f, units):
+    """f with a fresh atom in place of each maximal #-subformula."""
+    if isinstance(f, Nabla):
+        if f not in units:
+            units[f] = Atom(f"u{len(units)}")
+        return units[f]
+    if isinstance(f, Not):
+        return Not(_opaque(f.child, units))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(_opaque(f.left, units), _opaque(f.right, units))
+    return f
+
+
 @given(formula_strategy())
-def test_tautology_matches_two_element_algebra_on_nabla_free(f):
+def test_tautology_matches_two_element_algebra(f):
+    """A formula is a classical tautology exactly when its copy with fresh
+    atoms for the maximal #-subformulas holds under every valuation in the
+    2-element algebra; likewise for its #-erasure."""
     from plausible.algebra import PlausibleAlgebra, all_valuations, evaluate
-    g = erase_nabla(f)
     alg = PlausibleAlgebra(1, (0, 1))
-    names = sorted(atoms(g))
-    semantic = all(evaluate(g, alg, v) == 1 for v in all_valuations(names, 2))
-    assert is_classical_tautology(g) == semantic
+    for g in (f, erase_nabla(f)):
+        h = _opaque(g, {})
+        names = sorted(atoms(h))
+        semantic = all(evaluate(h, alg, v) == 1
+                       for v in all_valuations(names, 2))
+        assert is_classical_tautology(g) == semantic
+
+
+def test_tautology_across_blocks():
+    # 17 atoms give 2**17 valuations, two blocks of the evaluator; the
+    # conjunction holds only at the last valuation, in the second block
+    from plausible import algebra
+    conj = parse(" & ".join(f"a{i}" for i in range(1, 18)))
+    assert not is_classical_tautology(Not(conj))
+    assert is_classical_tautology(Implies(conj, Atom("a1")))
+    units = formula.pseudo_atoms(conj)
+    code, result = algebra._program(Not(conj), units)
+    assert algebra._first_failure(code, result, 1, 17) == 2 ** 17 - 1
+    assert 2 ** 17 > algebra._BLOCK_ELEMENTS

@@ -2,9 +2,7 @@ import itertools
 
 import pytest
 
-from plausible.formula import And, Atom, Bottom, Iff, Not, Or, parse
 from plausible.pseudotopology import (MAX_UNIVERSE, PseudoTopology,
-                                      check_valuation_constraints,
                                       enumerate_spaces, pairwise_nondisjoint,
                                       principal_space, validate)
 
@@ -104,38 +102,3 @@ def test_json_round_trip():
     doc = space(2, [1, 3]).to_json()
     assert doc == {"universe_size": 2, "opens": [1, 3]}
 
-
-def test_valuation_constraints():
-    p, q = Atom("p"), Atom("q")
-    s = space(2, [1, 3])
-    taut = parse("p | ~p")
-    good = {p: 1, q: 3, And(p, q): 1, Or(p, q): 3, taut: 3, Bottom(): 0}
-    formulas = [p, q, And(p, q), Or(p, q), taut, Bottom()]
-    assert check_valuation_constraints(s, good, formulas)
-
-    bad_taut = dict(good)
-    bad_taut[taut] = 1
-    v = check_valuation_constraints(s, bad_taut, formulas)
-    assert not v.ok and v.axiom == "tautology"
-
-    bad_conj = dict(good)
-    bad_conj[And(p, q)] = 2
-    v = check_valuation_constraints(s, bad_conj, formulas)
-    assert not v.ok and v.axiom == "conjunction"
-
-    bad_disj = {p: 1, q: 2, Or(p, q): 2, And(p, q): 0}
-    v = check_valuation_constraints(s, bad_disj,
-                                    [p, q, Or(p, q), And(p, q)])
-    assert not v.ok and v.axiom == "disjunction"
-
-    bad_falsum = dict(good)
-    bad_falsum[Bottom()] = 1
-    v = check_valuation_constraints(s, bad_falsum, formulas)
-    assert not v.ok and v.axiom == "falsum"
-
-    split = {p: 1, Not(Not(p)): 2}
-    v = check_valuation_constraints(s, split, [p, Not(Not(p))])
-    assert not v.ok and v.axiom == "equivalence"
-
-    with pytest.raises(ValueError):
-        check_valuation_constraints(s, {}, [p])

@@ -1,6 +1,7 @@
 """Smoke tests in fresh interpreters: each sweep script runs as its own
-process against the package sources, exits 0 and prints its summary line,
-and the package runs without importing numpy."""
+process against the package sources, exits 0 and prints its summary line;
+the package runs without importing numpy, and the first-order checker
+without loading the algebra search."""
 
 import os
 import subprocess
@@ -33,6 +34,19 @@ def test_package_does_not_import_numpy():
             "from plausible.formula import parse\n"
             "assert find_countermodel(parse('#p -> #q')) is not None\n"
             "print('numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_first_order_checker_does_not_load_the_algebra():
+    # the first-order sweep times its imports; folp must stay clear of the
+    # propositional search
+    code = ("import sys\n"
+            "import plausible.folp\n"
+            "print('plausible.algebra' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
