@@ -329,9 +329,13 @@ def _first_failure(code: list[tuple], result: int, n: int,
     """The lowest configuration of size n with k units (``_block_masks``)
     where slot ``result`` of the program fails at some world, or None."""
     total = len(_algebras(n)) << n * k
+    # only a search of one block is cached: a longer one meets its blocks
+    # once each, in order, so a cache would only keep them alive after it
+    masks = _block_masks if total <= _BLOCK_ELEMENTS \
+        else _block_masks.__wrapped__
     for i0 in range(0, total, _BLOCK_ELEMENTS):
         length = min(_BLOCK_ELEMENTS, total - i0)
-        digits, steps, full = _block_masks(n, k, i0, length)
+        digits, steps, full = masks(n, k, i0, length)
         bad = full ^ _run(code, digits, steps, full)[result]
         for w in range(1, n):
             bad |= bad >> w * length

@@ -2,12 +2,20 @@
 
 Omega is a family of subsets of a finite universe, stored as bitmasks,
 closed under pairwise intersection and union, containing the whole universe
-and excluding the empty set.  Weaker than a topology: no arbitrary unions,
-and the empty set is banned outright.
+and excluding the empty set.  Weaker than a topology in general: no
+arbitrary unions, and the empty set is banned outright.  But on a finite
+universe Omega plus the empty set is a topology, the up-sets of the
+preorder in which w reaches v when every open containing w contains v.  So
+``enumerate_spaces`` generates the spaces from the reflexive relations on
+the points, as ``algebra.enumerate_algebras`` generates its tables from
+frames, and the interior map of a space (#a the union of the opens inside
+a) is ``algebra.from_frame`` of its preorder.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -63,62 +71,45 @@ def validate(space: PseudoTopology) -> Verdict:
     return Verdict(True)
 
 
+@functools.cache
+def _spaces(universe_size: int) -> tuple[PseudoTopology, ...]:
+    full = (1 << universe_size) - 1
+    # one successor mask per point, each containing its point
+    options = [[s for s in range(full + 1) if s >> w & 1]
+               for w in range(universe_size)]
+    families = set()  # bit a set where mask a is open
+    for successors in itertools.product(*options):
+        image = [0]  # image[a]: the successors of the points of a
+        family = 0
+        for a in range(1, full + 1):
+            low = a & -a
+            image.append(image[a ^ low] | successors[low.bit_length() - 1])
+            family |= (image[a] == a) << a
+        families.add(family)
+    spaces = (PseudoTopology(universe_size, frozenset(
+        a for a in range(1, full + 1) if family >> a & 1))
+        for family in families)
+    # by membership of mask 1, then of mask 2 and so on, exclusion first
+    return tuple(sorted(filter(validate, spaces), key=lambda space: sum(
+        1 << full - m for m in space.opens)))
+
+
 def enumerate_spaces(universe_size: int) -> Iterator[PseudoTopology]:
     """Every valid opens-family, in a deterministic order.
 
-    Depth-first over candidate masks 1..full in ascending order, deciding
-    exclusion before inclusion.  Pruning: two included opens may not be
-    disjoint, their intersection (a smaller mask, already decided) must be
-    included, and a mask required as a union of included opens may not be
-    excluded when its turn comes.  A universe_size out of range raises
-    ValueError at the call, before any space is built.
+    The nonempty up-sets of each reflexive relation on the points, the
+    sets a with every successor of a point of a in a.  A relation has the
+    up-sets of its transitive closure, so these families are exactly the
+    finite topologies without the empty set; ``validate`` keeps those
+    without two disjoint opens (E1 with E4).  Listed by membership of
+    masks 1..full, exclusion before inclusion.  A universe_size out of
+    range raises ValueError at the call, before any space is built.
     """
     if not 1 <= universe_size <= MAX_UNIVERSE:
         # the empty universe has no space: E3 and E4 would conflict
         raise ValueError(f"universe_size must be in 1..{MAX_UNIVERSE}, "
                          f"got {universe_size}")
-    full = (1 << universe_size) - 1
-    masks = list(range(1, full + 1))
-
-    def rec(i: int, chosen: list[int], required: frozenset[int]
-            ) -> Iterator[PseudoTopology]:
-        if i == len(masks):
-            yield PseudoTopology(universe_size, frozenset(chosen))
-            return
-        m = masks[i]
-        # exclude m (never allowed for the full mask, E3)
-        if m != full and m not in required:
-            yield from rec(i + 1, chosen, required)
-        # include m
-        new_required = set(required)
-        ok = True
-        for c in chosen:
-            inter, union = c & m, c | m
-            if inter == 0:
-                ok = False  # would force the empty set open (E1 vs E4)
-                break
-            if inter < m and inter not in chosen:
-                ok = False  # intersection was already rejected
-                break
-            if union > m:
-                new_required.add(union)
-        if ok:
-            chosen.append(m)
-            yield from rec(i + 1, chosen, frozenset(new_required))
-            chosen.pop()
-
-    return rec(0, [], frozenset())
-
-
-def pairwise_nondisjoint(space: PseudoTopology) -> bool:
-    """No two opens are disjoint.  A theorem for valid spaces, exposed so it
-    can be verified exhaustively."""
-    members = sorted(space.opens)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if a & b == 0:
-                return False
-    return True
+    return iter(_spaces(universe_size))
 
 
 def principal_space(universe_size: int, point: int) -> PseudoTopology:

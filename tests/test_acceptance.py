@@ -10,7 +10,8 @@ import json
 
 from plausible.algebra import (PlausibleAlgebra, countermodel_to_json,
                                enumerate_algebras, evaluate,
-                               find_countermodel, plausible_elements,
+                               find_countermodel, from_frame,
+                               plausible_elements,
                                validate as validate_algebra)
 from plausible.folp import (Forall, Name, PlausibleStructure, Plaus, Rel,
                             check_axioms, parse_fo, satisfies,
@@ -20,7 +21,7 @@ from plausible.formula import (Atom, Iff, Implies, Nabla, erase_nabla,
 from plausible.hilbert import (check_proof, instantiate, library_proofs,
                                library_theorems)
 from plausible.pseudotopology import (PseudoTopology, enumerate_spaces,
-                                      pairwise_nondisjoint, principal_space,
+                                      principal_space,
                                       validate as validate_space)
 from plausible.sampling import corpus, depth2_candidates
 from plausible.tableau import is_valid, prove, result_to_json_text
@@ -194,6 +195,27 @@ def _interior(space):
     return PlausibleAlgebra(space.universe_size, tuple(table))
 
 
+def _preorder(space):
+    """successors[w]: the intersection of the opens containing w."""
+    successors = []
+    for w in range(space.universe_size):
+        smallest = space.full
+        for o in space.opens:
+            if o >> w & 1:
+                smallest &= o
+        successors.append(smallest)
+    return successors
+
+
+# [DERIVED] 4 and .2 hold in every space's interior algebra, but not in
+# every plausible algebra: the first countermodels find_countermodel gives,
+# each re-checked with evaluate
+FOUR = parse("#p -> ##p")
+DOT_TWO = parse("~#~#p -> #~#~p")
+GAP_COUNTERMODELS = {FOUR: ((0, 0, 0, 0, 0, 0, 2, 7), 6),
+                     DOT_TWO: ((0, 0, 0, 1, 4, 4, 4, 7), 3)}
+
+
 def test_criterion_8_pseudotopology_suite():
     problems = []
     counts = {}
@@ -207,24 +229,36 @@ def test_criterion_8_pseudotopology_suite():
     for size in (1, 2, 3, 4):
         for space in enumerate_spaces(size):
             checked += 1
-            if not pairwise_nondisjoint(space):
+            if not all(a & b for a in space.opens for b in space.opens):
                 problems.append(("disjoint pair", space))
             singles = [m for m in space.opens if bin(m).count("1") == 1]
             if len(singles) > 1:
                 problems.append(("two singletons", space))
             # the interior map is a plausibility operator whose nonzero
-            # fixed points are exactly the opens
+            # fixed points are exactly the opens, the box operator of the
+            # space's preorder
             interior = _interior(space)
             if not validate_algebra(size, interior.sharp):
                 problems.append(("interior invalid", space))
             if plausible_elements(interior) != space.opens:
                 problems.append(("interior fixed points", space))
+            if interior != from_frame(size, _preorder(space)):
+                problems.append(("interior is not the preorder's", space))
+            for f in GAP_COUNTERMODELS:
+                for p in range(space.full + 1):
+                    if evaluate(f, interior, {"p": p}) != interior.top:
+                        problems.append((render(f), space, p))
     if checked != 165:
         problems.append(("spaces checked", checked))
+    for f, (sharp, p) in GAP_COUNTERMODELS.items():
+        found = find_countermodel(f)
+        if found != (PlausibleAlgebra(3, sharp), {"p": p}):
+            problems.append(("countermodel", render(f), found))
     ok = not problems
     _report(8, "pseudo-topology suite", ok,
             f"counts {counts[1]}/{counts[2]}/{counts[3]}, "
-            f"{checked} spaces checked, interior maps valid")
+            f"{checked} spaces checked, interior maps valid and "
+            f"preorder-generated, 4 and .2 hold in spaces but not in algebras")
     assert ok, problems[:5]
 
 

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -200,6 +202,27 @@ def test_countermodel_on_the_valuation_chunk_path():
     assert valuation == {"a": 6, "b": 6, "d": 0, "e": 0, "f": 6, "g": 0}
     assert evaluate(f, alg, valuation) != alg.top
     assert 8 ** 6 > algebra._BLOCK_ELEMENTS
+
+
+def test_long_searches_leave_no_block_masks_cached():
+    # a valid six-atom formula scans the 256 blocks of size 8 once each, in
+    # order, so they are built uncached; a search of one block, as every
+    # search of at most three atoms is, still hits the cache when repeated
+    f = parse("(a & b & c & d & e & g) -> a")
+    algebra._algebras(3)  # the tables stay cached for good: build them first
+    tracemalloc.start()
+    try:
+        assert find_countermodel(f) is None
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+    g = parse("#(p & q & r) -> #p")
+    assert find_countermodel(g) is None
+    hits = algebra._block_masks.cache_info().hits
+    assert find_countermodel(g) is None
+    assert algebra._block_masks.cache_info().hits == hits + MAX_ATOMS
 
 
 def test_index_bit_masks_match_their_definition():
