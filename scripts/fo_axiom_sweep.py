@@ -23,6 +23,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-domain", type=int, default=3)
     args = parser.parse_args()
+    try:
+        structures = unary_structures(args.max_domain)
+    except ValueError as error:
+        parser.error(str(error))
 
     phi, psi = parse_fo("R(x)"), parse_fo("S(x)")
     extensionality = parse_fo(
@@ -31,7 +35,7 @@ def main():
                              "extensionality", "a5")}
     count = 0
     witnesses = []
-    for M in unary_structures(args.max_domain):
+    for M in structures:
         count += 1
         report = check_axioms(M, phi, psi, "x")
         verdicts = {k: getattr(report, k) for k in totals

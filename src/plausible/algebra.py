@@ -374,12 +374,6 @@ def find_countermodel(f: Formula, max_atoms: int = MAX_ATOMS
     return None
 
 
-def plausible_elements(alg: PlausibleAlgebra) -> set[int]:
-    """Nonzero fixed points of sharp; zero is excluded by definition even
-    though sharp always fixes it."""
-    return {a for a in range(alg.size) if a != 0 and alg.sharp[a] == a}
-
-
 def countermodel_to_json(alg: PlausibleAlgebra, valuation: Valuation) -> dict:
     return {"algebra": alg.to_json(),
             "valuation": {name: valuation[name] for name in sorted(valuation)}}

@@ -11,12 +11,27 @@ grammar keeps the constants ``true`` and ``false`` and adds ``forall x.``,
 ``exists x.``, ``P x.`` (each scoping as far to the right as possible),
 predicate application ``R(t, ...)`` and equality ``t1 = t2``; ``#`` is not
 part of it.
+
+Formulas are evaluated as definable sets.  ``_program`` compiles a tuple
+of formulas once into straight-line code with one value slot per distinct
+(subterm or subformula, scope), the scope being the variables bound around
+the node, innermost last; ``_run`` runs it once per structure.  On a domain
+of size d, assignment i of a scope of k variables gives ``scope[j]`` digit
+j of i in base d.  A term's slot lists its element at each of the d^k
+assignments and a formula's slot is the d^k-bit mask of those where it
+holds.  A binder's variable is the most significant digit of its body, so
+the body's mask is d chunks of d^k bits: ``forall`` ANDs them, ``exists``
+ORs them and ``P`` asks, at each assignment, whether the d-bit set gathered
+from the chunks is open.  Time is O(d^k) per atom, as for an interpreter
+that tries one assignment at a time, but where such an interpreter holds
+O(k) values, each slot here holds d^k bits or elements, k the binder depth.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -232,66 +247,137 @@ def _json_rows(value, key: str) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# satisfaction
+# satisfaction over definable sets
 
-def _eval_term(M: PlausibleStructure, t: Formula, env: dict[str, int]) -> int:
-    if isinstance(t, Name):
-        if t.name in env:
-            return env[t.name]
-        if t.name in M.constants:
-            return M.constants[t.name]
-        raise EvaluationError(f"unbound name {t.name!r}")
-    args = tuple(_eval_term(M, a, env) for a in t.args)
-    try:
-        return M.functions[t.func][args]
-    except KeyError:
-        raise EvaluationError(f"no function value for {t.func}{args}") from None
+@functools.lru_cache(maxsize=256)
+def _program(formulas: tuple[Formula, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """The formulas as straight-line code over value slots, and the slot
+    of each.  Each instruction (node class, k, x, y) appends the value of
+    one distinct (node, scope) pair, children first, where k is the length
+    of the scope; x and y are the child slots, or for ``Name`` the name and
+    the digit it reads (-1 when free), for ``App`` and ``Rel`` the symbol
+    and the argument slots."""
+    slots: dict[tuple, int] = {}
+    code: list[tuple] = []
+
+    def emit(g: Formula, scope: tuple[str, ...], term: bool = False) -> int:
+        slot = slots.get((g, scope))
+        if slot is not None:
+            return slot
+        if isinstance(g, (Name, App)) != term:
+            raise AssertionError(f"misplaced node {g!r}")
+        x = y = None
+        if isinstance(g, Name):
+            # the innermost binder of the name decides
+            x, y = g.name, max((j for j, v in enumerate(scope)
+                                if v == g.name), default=-1)
+        elif isinstance(g, (App, Rel)):
+            x = g.func if isinstance(g, App) else g.name
+            y = tuple(emit(a, scope, True) for a in g.args)
+        elif isinstance(g, Eq):
+            x, y = emit(g.left, scope, True), emit(g.right, scope, True)
+        elif isinstance(g, BINARY):
+            x, y = emit(g.left, scope), emit(g.right, scope)
+        elif isinstance(g, Not):
+            x = emit(g.child, scope)
+        elif isinstance(g, Binder):
+            # the bound variable is the most significant digit of the body
+            x = emit(g.body, (*scope, g.var))
+        elif not isinstance(g, (Top, Bottom)):
+            raise AssertionError(g)
+        code.append((type(g), len(scope), x, y))
+        slot = slots[g, scope] = len(code) - 1
+        return slot
+
+    results = tuple(emit(f, ()) for f in formulas)
+    return tuple(code), results
+
+
+@functools.lru_cache(maxsize=64)
+def _digits(d: int, k: int, j: int) -> tuple[int, ...]:
+    """Digit j in base d of each assignment 0 .. d^k - 1."""
+    return tuple(i // d ** j % d for i in range(d ** k))
+
+
+def _run(code: tuple, M: PlausibleStructure, env: dict[str, int]) -> list:
+    """The slot values of a ``_program`` on M: a term's slot lists its
+    element at each assignment of its scope, a formula's slot is the
+    bitmask of the assignments where it holds."""
+    d, opens = M.domain_size, M.omega.opens
+    values: list = []
+    append = values.append
+    for kind, k, x, y in code:
+        size = d ** k
+        full = (1 << size) - 1
+        if kind is Not:
+            append(full ^ values[x])
+        elif kind is And:
+            append(values[x] & values[y])
+        elif kind is Or:
+            append(values[x] | values[y])
+        elif kind is Implies:
+            append((full ^ values[x]) | values[y])
+        elif kind is Iff:
+            append(full ^ values[x] ^ values[y])
+        elif kind is Name:
+            if y >= 0:
+                append(_digits(d, k, y))
+            elif x in env:
+                append([env[x]] * size)
+            elif x in M.constants:
+                append([M.constants[x]] * size)
+            else:
+                raise EvaluationError(f"unbound name {x!r}")
+        elif kind is Rel:
+            table = M.relations.get(x, frozenset())
+            if table and (arity := len(next(iter(table)))) != len(y):
+                raise EvaluationError(f"relation {x} expects {arity} "
+                                      "arguments")
+            rows = zip(*(values[i] for i in y)) if y else [()] * size
+            append(sum(1 << i for i, row in enumerate(rows) if row in table))
+        elif kind is App:
+            graph = M.functions.get(x, {})
+            rows = zip(*(values[i] for i in y)) if y else [()] * size
+            try:
+                append([graph[row] for row in rows])
+            except KeyError as error:
+                raise EvaluationError(f"no function value for "
+                                      f"{x}{error.args[0]}") from None
+        elif kind is Plaus and size == 1:
+            append(int(values[x] in opens))
+        elif kind in (Forall, Exists, Plaus):
+            # chunk b holds the body where the bound variable is b
+            body = values[x]
+            chunks = [body >> b * size & full for b in range(d)]
+            if kind is Forall:
+                append(functools.reduce(operator.and_, chunks))
+            elif kind is Exists:
+                append(functools.reduce(operator.or_, chunks))
+            else:
+                append(sum(1 << i for i in range(size)
+                           if sum((c >> i & 1) << b
+                                  for b, c in enumerate(chunks)) in opens))
+        elif kind is Eq:
+            append(sum(1 << i for i, (a, b)
+                       in enumerate(zip(values[x], values[y])) if a == b))
+        else:
+            append(full if kind is Top else 0)
+    return values
 
 
 def satisfies(M: PlausibleStructure, f: Formula,
               assignment: Optional[dict[str, int]] = None) -> bool:
     """Tarskian satisfaction; the plausibility quantifier asks whether the
-    definable set is open."""
-    env = dict(assignment or {})
+    definable set is open.
 
-    def sat(g: Formula, env: dict[str, int]) -> bool:
-        if isinstance(g, Rel):
-            table = M.relations.get(g.name, frozenset())
-            values = tuple(_eval_term(M, a, env) for a in g.args)
-            if table:
-                arity = len(next(iter(table)))
-                if arity != len(values):
-                    raise EvaluationError(
-                        f"relation {g.name} expects {arity} arguments")
-            return values in table
-        if isinstance(g, Eq):
-            return _eval_term(M, g.left, env) == _eval_term(M, g.right, env)
-        if isinstance(g, Not):
-            return not sat(g.child, env)
-        if isinstance(g, And):
-            return sat(g.left, env) and sat(g.right, env)
-        if isinstance(g, Or):
-            return sat(g.left, env) or sat(g.right, env)
-        if isinstance(g, Implies):
-            return (not sat(g.left, env)) or sat(g.right, env)
-        if isinstance(g, Iff):
-            return sat(g.left, env) == sat(g.right, env)
-        if isinstance(g, Binder):
-            hits = [b for b in range(M.domain_size)
-                    if sat(g.body, {**env, g.var: b})]
-            if isinstance(g, Forall):
-                return len(hits) == M.domain_size
-            if isinstance(g, Exists):
-                return bool(hits)
-            mask = sum(1 << b for b in hits)
-            return mask in M.omega.opens
-        if isinstance(g, Top):
-            return True
-        if isinstance(g, Bottom):
-            return False
-        raise AssertionError(g)
-
-    return sat(f, env)
+    The program of ``(f,)`` runs once on M (see the module docstring), and
+    the sentence f's value is a 1-bit mask.  Each atom is evaluated at all
+    d^k assignments of the k variables bound around it, in O(d^k) time,
+    and each node's d^k-bit mask, or a term's d^k elements, is kept until
+    the run ends.  So an unbound name or a wrong arity anywhere in f raises
+    EvaluationError, whichever operand would decide first."""
+    code, (slot,) = _program((f,))
+    return bool(_run(code, M, assignment or {})[slot])
 
 
 @dataclass(frozen=True)
@@ -327,10 +413,10 @@ def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,
     a5 is the monotonicity schema, not an axiom over pseudo-topologies:
     it fails exactly where the set phi defines is open and lies inside the
     set psi defines, which is not open (see ``AxiomReport``)."""
-    a1, a2, a3, a4, a5, plaus, variant = _instances(phi, psi, x)
-    return AxiomReport(satisfies(M, a1), satisfies(M, a2), satisfies(M, a3),
-                       satisfies(M, a4), satisfies(M, a5),
-                       satisfies(M, plaus) == satisfies(M, variant))
+    code, slots = _program(_instances(phi, psi, x))
+    values = _run(code, M, {})
+    a1, a2, a3, a4, a5, plaus, variant = (values[slot] for slot in slots)
+    return AxiomReport(*map(bool, (a1, a2, a3, a4, a5)), plaus == variant)
 
 
 @functools.lru_cache(maxsize=256)
@@ -355,13 +441,16 @@ def _instances(phi: Formula, psi: Formula, x: str) -> tuple[Formula, ...]:
 def unary_structures(max_domain: int) -> Iterator[PlausibleStructure]:
     """Every structure with one opens-family on a domain of size 1 to
     max_domain and two unary relations R and S, domain by domain, in
-    ``enumerate_spaces`` order, then by the bitmasks of R and S."""
-    for d in range(1, max_domain + 1):
-        tables = [frozenset((i,) for i in range(d) if m >> i & 1)
-                  for m in range(1 << d)]
-        for omega in pseudotopology.enumerate_spaces(d):
-            for r, s in itertools.product(tables, repeat=2):
-                yield PlausibleStructure(d, {"R": r, "S": s}, {}, {}, omega)
+    ``enumerate_spaces`` order, then by the bitmasks of R and S.  A
+    max_domain out of range raises ValueError at the call."""
+    if not 1 <= max_domain <= pseudotopology.MAX_UNIVERSE:
+        raise ValueError(f"max_domain must be in "
+                         f"1..{pseudotopology.MAX_UNIVERSE}, got {max_domain}")
+    tables = {d: [frozenset((i,) for i in range(d) if m >> i & 1)
+                  for m in range(1 << d)] for d in range(1, max_domain + 1)}
+    return (PlausibleStructure(d, {"R": r, "S": s}, {}, {}, omega)
+            for d in tables for omega in pseudotopology.enumerate_spaces(d)
+            for r, s in itertools.product(tables[d], repeat=2))
 
 
 # ---------------------------------------------------------------------------

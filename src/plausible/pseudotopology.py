@@ -110,12 +110,3 @@ def enumerate_spaces(universe_size: int) -> Iterator[PseudoTopology]:
         raise ValueError(f"universe_size must be in 1..{MAX_UNIVERSE}, "
                          f"got {universe_size}")
     return iter(_spaces(universe_size))
-
-
-def principal_space(universe_size: int, point: int) -> PseudoTopology:
-    """All subsets containing the given point."""
-    full = (1 << universe_size) - 1
-    return PseudoTopology(universe_size,
-                          frozenset(m for m in range(1, full + 1)
-                                    if m >> point & 1))
-

@@ -11,7 +11,6 @@ import json
 from plausible.algebra import (PlausibleAlgebra, countermodel_to_json,
                                enumerate_algebras, evaluate,
                                find_countermodel, from_frame,
-                               plausible_elements,
                                validate as validate_algebra)
 from plausible.folp import (Forall, Name, PlausibleStructure, Plaus, Rel,
                             check_axioms, parse_fo, satisfies,
@@ -21,7 +20,6 @@ from plausible.formula import (Atom, Iff, Implies, Nabla, erase_nabla,
 from plausible.hilbert import (check_proof, instantiate, library_proofs,
                                library_theorems)
 from plausible.pseudotopology import (PseudoTopology, enumerate_spaces,
-                                      principal_space,
                                       validate as validate_space)
 from plausible.sampling import corpus, depth2_candidates
 from plausible.tableau import is_valid, prove, result_to_json_text
@@ -240,7 +238,8 @@ def test_criterion_8_pseudotopology_suite():
             interior = _interior(space)
             if not validate_algebra(size, interior.sharp):
                 problems.append(("interior invalid", space))
-            if plausible_elements(interior) != space.opens:
+            if {a for a in range(1, interior.size)
+                    if interior.sharp[a] == a} != space.opens:
                 problems.append(("interior fixed points", space))
             if interior != from_frame(size, _preorder(space)):
                 problems.append(("interior is not the preorder's", space))
@@ -341,8 +340,10 @@ def test_criterion_9_degenerate_opens():
             if satisfies(M, Plaus("x", body)) != satisfies(M, Forall("x", body)):
                 problems.append(("universal", d, rm))
             for point in range(d):
+                principal = frozenset(m for m in range(1 << d)
+                                      if m >> point & 1)
                 Mp = PlausibleStructure(d, rel, {}, {},
-                                        principal_space(d, point))
+                                        PseudoTopology(d, principal))
                 if satisfies(Mp, Plaus("x", body)) != bool(rm >> point & 1):
                     problems.append(("principal", d, rm, point))
     ok = not problems

@@ -173,6 +173,13 @@ def test_fol_eval_reads_the_constants(model_file, capsys):
     assert capsys.readouterr().out == "false\n"
 
 
+@pytest.mark.parametrize("text", ["false & R(z)", "R(z) & false"])
+def test_fol_eval_unbound_name_is_input_error_in_either_order(
+        model_file, capsys, text):
+    assert run(["fol-eval", text, "--model", model_file]) == 2
+    assert capsys.readouterr() == ("", "error: unbound name 'z'\n")
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"domain_size": "3", "omega": [1]},
      "'domain_size' must be a positive integer, got '3'"),

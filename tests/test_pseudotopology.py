@@ -5,8 +5,7 @@ import json
 import pytest
 
 from plausible.pseudotopology import (MAX_UNIVERSE, PseudoTopology,
-                                      enumerate_spaces, principal_space,
-                                      validate)
+                                      enumerate_spaces, validate)
 
 # [DERIVED] counts pinned against the brute force below (sizes 1..4)
 SPACE_COUNTS = {1: 1, 2: 3, 3: 16, 4: 145}
@@ -105,6 +104,10 @@ def test_no_space_holds_two_disjoint_singletons():
 
 
 def test_principal_spaces():
+    def principal_space(size, point):
+        return PseudoTopology(size, frozenset(m for m in range(1 << size)
+                                              if m >> point & 1))
+
     s = principal_space(3, 0)
     assert validate(s)
     assert s.opens == frozenset([1, 3, 5, 7])

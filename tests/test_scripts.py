@@ -3,6 +3,7 @@ process against the package sources, exits 0 and prints its summary line;
 the package runs without importing numpy, and the first-order checker
 without loading the algebra search."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,29 @@ def test_script_runs(argv, line):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert line in done.stdout.splitlines(), done.stdout
+
+
+def _sweep(*argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "fo_axiom_sweep.py"),
+                           *argv], env=env, capture_output=True, timeout=120)
+
+
+def test_fo_axiom_sweep_output_is_pinned():
+    done = _sweep("--max-domain", "3")
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == \
+        "c95e6812779f193d9736d68e3d00b15708331b603e2df31dbb624b233604a5dc"
+
+
+@pytest.mark.parametrize("max_domain", ["0", "5", "-1"])
+def test_fo_axiom_sweep_rejects_bad_domain(max_domain):
+    done = _sweep("--max-domain", max_domain)
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert f"max_domain must be in 1..4, got {max_domain}".encode() \
+        in done.stderr
 
 
 def test_package_does_not_import_numpy():
