@@ -22,10 +22,14 @@ def main():
     args = parser.parse_args()
 
     start = time.perf_counter()
+    try:
+        formulas = corpus(args.seed, args.count, max_size=args.max_size)
+    except ValueError as error:
+        parser.error(str(error))
     closed = 0
     refuted = 0
     violations = []
-    for f in corpus(args.seed, args.count, max_size=args.max_size):
+    for f in formulas:
         verdict = prove([], f).verdict
         countermodel = find_countermodel(f, max_atoms=3)
         if verdict == "closed":

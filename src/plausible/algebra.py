@@ -6,10 +6,12 @@ An algebra here is the powerset Boolean algebra on ``n_atoms`` generators
 so nothing is lost at the scales we enumerate.
 
 Read bit w of an element as world w.  The valid tables are exactly the box
-operators of the reflexive relations on ``n_atoms`` worlds: ``from_frame``
-builds one from the successor masks of a relation, the ``successors`` of a
-table give the relation back, and ``enumerate_algebras`` lists the tables
-of the 2^(n^2 - n) reflexive relations in lexicographic order.
+operators of the reflexive relations on ``n_atoms`` worlds, which come from
+the one frame layer in ``pseudotopology``: ``frames`` lists the relations
+and ``box`` gives the table of one.  ``from_frame`` checks a relation and
+wraps its box, the ``successors`` of a table give the relation back, and
+``enumerate_algebras`` lists the tables of the 2^(n^2 - n) relations in
+lexicographic order.
 
 ``find_countermodel`` searches all tables and valuations of one size at
 once, with Python ints as bit-vectors over one flat index: configuration
@@ -32,6 +34,7 @@ from typing import Iterator, Optional
 
 from .formula import (BINARY, UNARY, And, Atom, Bottom, Formula, Iff,
                       Implies, Nabla, Not, Or, Top, atoms)
+from .pseudotopology import Verdict, box, frames
 
 MAX_ATOMS = 3
 
@@ -59,20 +62,6 @@ class PlausibleAlgebra:
 
     def to_json(self) -> dict:
         return {"n_atoms": self.n_atoms, "sharp": list(self.sharp)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PlausibleAlgebra":
-        return cls(doc["n_atoms"], tuple(doc["sharp"]))
-
-
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    axiom: Optional[str] = None
-    witness: Optional[tuple[int, ...]] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate(n_atoms: int, sharp) -> Verdict:
@@ -105,8 +94,9 @@ def from_frame(n_atoms: int, successors) -> PlausibleAlgebra:
 
     Element a is the set of worlds w with bit w set; ``successors[w]`` is
     the bitmask of the worlds v with w R v, and must contain w itself.
-    ``sharp[a]`` is the set of worlds all of whose successors lie in a, so
-    a1, a2 and a4 hold by construction and a3 by reflexivity.
+    ``sharp[a]`` is the set of worlds all of whose successors lie in a
+    (``pseudotopology.box``), so a1, a2 and a4 hold by construction and a3
+    by reflexivity.
     """
     size = 1 << n_atoms
     successors = tuple(successors)
@@ -115,18 +105,13 @@ def from_frame(n_atoms: int, successors) -> PlausibleAlgebra:
             for w, s in enumerate(successors)):
         raise ValueError(f"successors must list {n_atoms} masks in "
                          f"0..{size - 1}, each containing its own world")
-    return PlausibleAlgebra(n_atoms, tuple(
-        sum(1 << w for w, s in enumerate(successors) if s & ~a == 0)
-        for a in range(size)))
+    return PlausibleAlgebra(n_atoms, box(n_atoms, successors))
 
 
 @functools.cache
 def _algebras(n_atoms: int) -> tuple[PlausibleAlgebra, ...]:
-    # one successor mask per world, each containing its world
-    options = [[s for s in range(1 << n_atoms) if s >> w & 1]
-               for w in range(n_atoms)]
     return tuple(sorted((from_frame(n_atoms, successors)
-                         for successors in itertools.product(*options)),
+                         for successors in frames(n_atoms)),
                         key=lambda alg: alg.sharp))
 
 
@@ -138,8 +123,9 @@ def enumerate_algebras(n_atoms: int) -> Iterator[PlausibleAlgebra]:
     relation on n_atoms worlds (a finite Boolean algebra is complete, and
     a1 with a4 make sharp preserve every meet), and distinct relations give
     distinct tables.  So the tables are ``from_frame`` of the
-    2^(n^2 - n) reflexive relations, sorted.  An n_atoms out of range
-    raises ValueError at the call, before any table is built.
+    2^(n^2 - n) reflexive relations of ``pseudotopology.frames``, sorted.
+    An n_atoms out of range raises ValueError at the call, before any
+    table is built.
     """
     if not 0 <= n_atoms <= MAX_ATOMS:
         raise ValueError(f"n_atoms must be in 0..{MAX_ATOMS}, got {n_atoms}")

@@ -400,7 +400,6 @@ class AxiomReport:
     a4: bool
     a5: bool
     a6: bool
-    note: str = "a1/a2 checked in the corrected reading"
 
     def all_hold(self) -> bool:
         return all((self.a1, self.a2, self.a3, self.a4, self.a5, self.a6))

@@ -163,14 +163,6 @@ def size(f: Formula) -> int:
     return 1
 
 
-def depth(f: Formula) -> int:
-    if isinstance(f, BINARY):
-        return 1 + max(depth(f.left), depth(f.right))
-    if isinstance(f, UNARY):
-        return 1 + depth(f.child)
-    return 1
-
-
 def atoms(f: Formula) -> set[str]:
     if isinstance(f, Atom):
         return {f.name}
@@ -179,11 +171,6 @@ def atoms(f: Formula) -> set[str]:
     if isinstance(f, UNARY):
         return atoms(f.child)
     return set()
-
-
-def negate(f: Formula) -> Formula:
-    """Syntactic negation; never strips double negations."""
-    return Not(f)
 
 
 def erase_nabla(f: Formula) -> Formula:

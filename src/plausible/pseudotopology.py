@@ -5,11 +5,11 @@ closed under pairwise intersection and union, containing the whole universe
 and excluding the empty set.  Weaker than a topology in general: no
 arbitrary unions, and the empty set is banned outright.  But on a finite
 universe Omega plus the empty set is a topology, the up-sets of the
-preorder in which w reaches v when every open containing w contains v.  So
-``enumerate_spaces`` generates the spaces from the reflexive relations on
-the points, as ``algebra.enumerate_algebras`` generates its tables from
-frames, and the interior map of a space (#a the union of the opens inside
-a) is ``algebra.from_frame`` of its preorder.
+preorder in which w reaches v when every open containing w contains v.
+This module is the one frame layer of the package: ``frames`` lists the
+reflexive relations on n points and ``box`` gives the box map of one.  A
+space's opens are the nonzero fixed points of its relation's box, which
+is its interior map and, in ``algebra``, a plausible algebra's sharp table.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class PseudoTopology:
     def to_json(self) -> dict:
         return {"universe_size": self.universe_size, "opens": sorted(self.opens)}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "PseudoTopology":
-        return cls(doc["universe_size"], frozenset(doc["opens"]))
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -51,17 +47,24 @@ class Verdict:
 
 def validate(space: PseudoTopology) -> Verdict:
     """E1: closed under pairwise intersection; E2: closed under pairwise
-    union; E3: the universe is open; E4: the empty set is not."""
-    full = space.full
-    for a in space.opens:
+    union; E3: the universe is open; E4: the empty set is not.  The
+    verdict is memoised per family: a sweep builds thousands of
+    structures on a few hundred families.  An open out of range raises
+    ValueError on every call."""
+    return _validate(space.universe_size, frozenset(space.opens))
+
+
+@functools.lru_cache(maxsize=256)
+def _validate(universe_size: int, members: frozenset[int]) -> Verdict:
+    full = (1 << universe_size) - 1
+    for a in members:
         if a & ~full:
             raise ValueError(f"open {a} out of range for universe of "
-                             f"size {space.universe_size}")
-    if 0 in space.opens:
+                             f"size {universe_size}")
+    if 0 in members:
         return Verdict(False, "E4", (0,))
-    if full not in space.opens:
+    if full not in members:
         return Verdict(False, "E3", (full,))
-    members = space.opens
     for a in members:
         for b in members:
             if a & b not in members:
@@ -71,24 +74,29 @@ def validate(space: PseudoTopology) -> Verdict:
     return Verdict(True)
 
 
+def frames(n: int) -> Iterator[tuple[int, ...]]:
+    """The 2^(n^2 - n) reflexive relations on the points 0..n-1, each as
+    its successor masks (bit v of ``successors[w]`` set when w reaches v,
+    bit w always set), in ``itertools.product`` order."""
+    return itertools.product(*([s for s in range(1 << n) if s >> w & 1]
+                               for w in range(n)))
+
+
+def box(n: int, successors) -> tuple[int, ...]:
+    """The box map of a relation on n points, given by its successor
+    masks: entry a is the set of points all of whose successors lie in a.
+    Its fixed points are the up-sets of the relation."""
+    return tuple(sum(1 << w for w, s in enumerate(successors) if s & ~a == 0)
+                 for a in range(1 << n))
+
+
 @functools.cache
 def _spaces(universe_size: int) -> tuple[PseudoTopology, ...]:
     full = (1 << universe_size) - 1
-    # one successor mask per point, each containing its point
-    options = [[s for s in range(full + 1) if s >> w & 1]
-               for w in range(universe_size)]
-    families = set()  # bit a set where mask a is open
-    for successors in itertools.product(*options):
-        image = [0]  # image[a]: the successors of the points of a
-        family = 0
-        for a in range(1, full + 1):
-            low = a & -a
-            image.append(image[a ^ low] | successors[low.bit_length() - 1])
-            family |= (image[a] == a) << a
-        families.add(family)
-    spaces = (PseudoTopology(universe_size, frozenset(
-        a for a in range(1, full + 1) if family >> a & 1))
-        for family in families)
+    families = {frozenset(a for a, inside in enumerate(
+        box(universe_size, successors)) if a and inside == a)
+        for successors in frames(universe_size)}
+    spaces = (PseudoTopology(universe_size, opens) for opens in families)
     # by membership of mask 1, then of mask 2 and so on, exclusion first
     return tuple(sorted(filter(validate, spaces), key=lambda space: sum(
         1 << full - m for m in space.opens)))
@@ -97,13 +105,13 @@ def _spaces(universe_size: int) -> tuple[PseudoTopology, ...]:
 def enumerate_spaces(universe_size: int) -> Iterator[PseudoTopology]:
     """Every valid opens-family, in a deterministic order.
 
-    The nonempty up-sets of each reflexive relation on the points, the
-    sets a with every successor of a point of a in a.  A relation has the
-    up-sets of its transitive closure, so these families are exactly the
-    finite topologies without the empty set; ``validate`` keeps those
-    without two disjoint opens (E1 with E4).  Listed by membership of
-    masks 1..full, exclusion before inclusion.  A universe_size out of
-    range raises ValueError at the call, before any space is built.
+    The nonzero fixed points of the ``box`` of each relation of
+    ``frames``: its nonempty up-sets.  A relation has the up-sets of its
+    transitive closure, so these families are exactly the finite
+    topologies without the empty set; ``validate`` keeps those without two
+    disjoint opens (E1 with E4).  Listed by membership of masks 1..full,
+    exclusion before inclusion.  A universe_size out of range raises
+    ValueError at the call, before any space is built.
     """
     if not 1 <= universe_size <= MAX_UNIVERSE:
         # the empty universe has no space: E3 and E4 would conflict

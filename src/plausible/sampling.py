@@ -14,7 +14,10 @@ DEFAULT_ATOMS = ("p", "q", "r")
 
 def random_formula(rng: random.Random, max_size: int = 12,
                    atom_names: tuple[str, ...] = DEFAULT_ATOMS) -> Formula:
-    """One random formula of at most max_size nodes."""
+    """One random formula of at most max_size nodes.  A max_size below 1
+    raises ValueError."""
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     budget = rng.randint(1, max_size)
 
     def build(n: int) -> Formula:
@@ -41,7 +44,12 @@ def random_formula(rng: random.Random, max_size: int = 12,
 
 def corpus(seed: int, count: int, max_size: int = 12,
            atom_names: tuple[str, ...] = DEFAULT_ATOMS) -> list[Formula]:
-    """Deterministic list of random formulas."""
+    """Deterministic list of random formulas.  A negative count or a
+    max_size below 1 raises ValueError at the call."""
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     rng = random.Random(seed)
     return [random_formula(rng, max_size, atom_names) for _ in range(count)]
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .formula import (And, Bottom, Formula, Iff, Implies, Nabla, Not, Or,
-                      Top, negate, render)
+                      Top, render)
 
 DEFAULT_BUDGET = 100_000
 
@@ -186,7 +186,7 @@ class _Context:
 
 def _is_valid_nested(f: Formula, ctx: _Context) -> bool:
     if f not in ctx.memo:
-        ctx.memo[f] = _refutes([negate(f)], ctx)
+        ctx.memo[f] = _refutes([Not(f)], ctx)
     return ctx.memo[f]
 
 
@@ -423,7 +423,7 @@ def prove(premises: Iterable[Formula], goal: Formula,
     """
     ctx = _Context(budget)
     premises = list(premises)
-    init = premises + [negate(goal)]
+    init = premises + [Not(goal)]
     rules = ["premise"] * len(premises) + ["negated-goal"]
     nodes = [Node(f, r) for f, r in zip(init, rules)]
     for parent, child in zip(nodes, nodes[1:]):

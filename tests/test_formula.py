@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from plausible import formula
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
-                               Or, ParseError, Top, atoms, depth, erase_nabla,
-                               is_classical_tautology, negate, parse, render,
-                               size)
+                               Or, ParseError, Top, atoms, erase_nabla,
+                               is_classical_tautology, parse, render, size)
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -84,12 +83,6 @@ def test_render_examples():
     assert render(Not(And(p, q))) == "~(p & q)"
 
 
-def test_negate_is_purely_syntactic():
-    assert negate(p) == Not(p)
-    assert negate(Not(p)) == Not(Not(p))
-    assert negate(Nabla(p)) == Not(Nabla(p))
-
-
 def test_erase_nabla_examples():
     assert erase_nabla(Nabla(p)) == p
     assert erase_nabla(Implies(Nabla(p), p)) == Implies(p, p)
@@ -102,10 +95,9 @@ def test_is_classical_tautology_examples():
     assert not is_classical_tautology(Implies(Nabla(p), p))
 
 
-def test_size_and_depth():
+def test_size_and_atoms():
     f = Implies(And(Not(p), q), r)
     assert size(f) == 6
-    assert depth(f) == 4
     assert atoms(f) == {"p", "q", "r"}
 
 

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from plausible.pseudotopology import (MAX_UNIVERSE, PseudoTopology,
-                                      enumerate_spaces, validate)
+from plausible.pseudotopology import (MAX_UNIVERSE, PseudoTopology, box,
+                                      enumerate_spaces, frames, validate)
 
 # [DERIVED] counts pinned against the brute force below (sizes 1..4)
 SPACE_COUNTS = {1: 1, 2: 3, 3: 16, 4: 145}
@@ -37,6 +37,16 @@ def test_validate_examples():
     assert not v.ok and v.axiom == "E4"
     with pytest.raises(ValueError):
         validate(space(1, [2]))
+
+
+def test_validate_memo_keeps_its_contract():
+    # a plain set is accepted, equal families share one verdict, and an
+    # open out of range raises however often it is asked
+    assert validate(PseudoTopology(2, {1, 3}))
+    assert validate(space(2, [1, 2, 3])) == validate(space(2, {1, 2, 3}))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="out of range"):
+            validate(space(1, [1, 2]))
 
 
 def test_validate_catches_missing_union():
@@ -71,6 +81,24 @@ def test_enumeration_matches_brute_force():
         got = [s.opens for s in enumerate_spaces(size)]
         assert len(got) == len(set(got))
         assert set(got) == expected
+
+
+def test_box_examples():
+    # one point: the identity; two points, 0 R 1 only: #{1} = {1}, #{0} = {}
+    assert box(1, (1,)) == (0, 1)
+    assert box(2, (3, 2)) == (0, 0, 2, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_fixed_points_are_the_up_sets(n):
+    for successors in frames(n):
+        up_sets = {a for a in range(1, 1 << n)
+                   if all(not a >> w & 1 or a >> v & 1
+                          for w in range(n) for v in range(n)
+                          if successors[w] >> v & 1)}
+        fixed = {a for a, inside in enumerate(box(n, successors))
+                 if a and inside == a}
+        assert fixed == up_sets
 
 
 def test_size_two_families():
@@ -118,7 +146,8 @@ def test_principal_spaces():
 
 def test_json_round_trip():
     for s in enumerate_spaces(3):
-        assert PseudoTopology.from_json(s.to_json()) == s
+        doc = s.to_json()
+        assert space(doc["universe_size"], doc["opens"]) == s
     doc = space(2, [1, 3]).to_json()
     assert doc == {"universe_size": 2, "opens": [1, 3]}
 

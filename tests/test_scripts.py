@@ -1,15 +1,19 @@
 """Smoke tests in fresh interpreters: each sweep script runs as its own
 process against the package sources, exits 0 and prints its summary line;
 the package runs without importing numpy, and the first-order checker
-without loading the algebra search."""
+without loading the algebra search.  Bad bounds are rejected at the call
+and by the scripts with exit 2."""
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from plausible import sampling
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +53,31 @@ def test_fo_axiom_sweep_rejects_bad_domain(max_domain):
     assert done.stdout == b""
     assert f"max_domain must be in 1..4, got {max_domain}".encode() \
         in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-size", "0"], "max_size must be at least 1, got 0"),
+    (["--count", "-3"], "count must be at least 0, got -3"),
+])
+def test_cross_check_rejects_bad_bounds(argv, message):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                               "cross_check.py"), *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert message in done.stderr
+
+
+def test_sampling_rejects_bad_bounds_at_the_call():
+    with pytest.raises(ValueError, match="max_size"):
+        sampling.random_formula(random.Random(0), max_size=0)
+    with pytest.raises(ValueError, match="max_size"):
+        sampling.corpus(0, 0, max_size=0)
+    with pytest.raises(ValueError, match="count"):
+        sampling.corpus(0, -3)
+    assert sampling.corpus(0, 0) == []
 
 
 def test_package_does_not_import_numpy():
