@@ -28,7 +28,6 @@ algebra, and the atoms and #-subformulas of the formula are its units.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -364,8 +363,3 @@ def countermodel_to_json(alg: PlausibleAlgebra, valuation: Valuation) -> dict:
     return {"algebra": alg.to_json(),
             "valuation": {name: valuation[name] for name in sorted(valuation)}}
 
-
-def all_valuations(names: list[str], size: int) -> Iterator[Valuation]:
-    """All valuations, in the same lexicographic order the search uses."""
-    for values in itertools.product(range(size), repeat=len(names)):
-        yield dict(zip(names, values))

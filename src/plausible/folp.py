@@ -15,23 +15,35 @@ part of it.
 Formulas are evaluated as definable sets.  ``_program`` compiles a tuple
 of formulas once into straight-line code with one value slot per distinct
 (subterm or subformula, scope), the scope being the variables bound around
-the node, innermost last; ``_run`` runs it once per structure.  On a domain
-of size d, assignment i of a scope of k variables gives ``scope[j]`` digit
-j of i in base d.  A term's slot lists its element at each of the d^k
-assignments and a formula's slot is the d^k-bit mask of those where it
-holds.  A binder's variable is the most significant digit of its body, so
-the body's mask is d chunks of d^k bits: ``forall`` ANDs them, ``exists``
-ORs them and ``P`` asks, at each assignment, whether the d-bit set gathered
-from the chunks is open.  Time is O(d^k) per atom, as for an interpreter
-that tries one assignment at a time, but where such an interpreter holds
-O(k) values, each slot here holds d^k bits or elements, k the binder depth.
+the node, innermost last.  On a domain of size d, assignment i of a scope
+of k variables gives ``scope[j]`` digit j of i in base d.  A term's slot
+lists its element at each of the d^k assignments and a formula's slot is
+the d^k-bit mask of those where it holds.  A binder's variable is the most
+significant digit of its body, so the body's mask is d chunks of d^k bits:
+``forall`` ANDs them, ``exists`` ORs them and ``P`` asks, at each
+assignment, whether the d-bit set gathered from the chunks is open.  Time
+is O(d^k) per atom, as for an interpreter that tries one assignment at a
+time, but where such an interpreter holds O(k) values, each slot here holds
+d^k bits or elements, k the binder depth.
+
+``_compiled`` turns the program into the source of one Python function per
+(formulas, domain size), compiles it once and caches it, so a sweep of one
+sentence over thousands of structures pays no per-instruction dispatch.
+Each instruction is one assignment to a local, with sizes, masks and chunk
+shifts written in as integers; connectives, ``forall``, ``exists`` and
+``P`` on a sentence are inline bit operations, and atoms, free names and
+``P`` under a binder call small helpers that raise ``EvaluationError``
+where the program reaches them.  Names and digit tuples enter as globals
+of the function, never as source text.  Building a structure checks each
+relation table once per (domain size, table), as ``pseudotopology``
+checks each opens-family once, so structures that share tables share the
+check.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -159,12 +171,9 @@ class PlausibleStructure:
         if not verdict:
             raise ValueError(f"invalid opens-family: {verdict.axiom}")
         for name, table in self.relations.items():
-            arities = {len(t) for t in table}
-            if len(arities) > 1:
-                raise ValueError(f"mixed arity in relation {name}")
-            for t in table:
-                if any(not 0 <= v < self.domain_size for v in t):
-                    raise ValueError(f"relation {name} tuple out of range")
+            fault = _table_fault(self.domain_size, frozenset(table))
+            if fault is not None:
+                raise ValueError(fault.format(name))
         for name, graph in self.functions.items():
             arities = {len(t) for t in graph}
             if len(arities) != 1:
@@ -227,6 +236,21 @@ class PlausibleStructure:
                    omega=PseudoTopology(size, frozenset(omega)))
 
 
+@functools.lru_cache(maxsize=256)
+def _table_fault(domain_size: int, table: frozenset) -> Optional[str]:
+    """What is wrong with a relation table on the domain, as a message
+    with a slot for the relation's name, or None.  Memoised per table, as
+    ``pseudotopology.validate`` is per family: a sweep builds thousands of
+    structures on a few dozen tables.  The message is cached, not an
+    error, so a bad table raises on every construction, naming the
+    relation it is given as."""
+    if len({len(t) for t in table}) > 1:
+        return "mixed arity in relation {}"
+    if any(not 0 <= v < domain_size for t in table for v in t):
+        return "relation {} tuple out of range"
+    return None
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -249,7 +273,6 @@ def _json_rows(value, key: str) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # satisfaction over definable sets
 
-@functools.lru_cache(maxsize=256)
 def _program(formulas: tuple[Formula, ...]) -> tuple[tuple, tuple[int, ...]]:
     """The formulas as straight-line code over value slots, and the slot
     of each.  Each instruction (node class, k, x, y) appends the value of
@@ -293,76 +316,115 @@ def _program(formulas: tuple[Formula, ...]) -> tuple[tuple, tuple[int, ...]]:
     return tuple(code), results
 
 
-@functools.lru_cache(maxsize=64)
-def _digits(d: int, k: int, j: int) -> tuple[int, ...]:
-    """Digit j in base d of each assignment 0 .. d^k - 1."""
-    return tuple(i // d ** j % d for i in range(d ** k))
+def _name(env: dict[str, int], constants: dict[str, int], name: str,
+          size: int) -> list[int]:
+    if name in env:
+        return [env[name]] * size
+    if name in constants:
+        return [constants[name]] * size
+    raise EvaluationError(f"unbound name {name!r}")
 
 
-def _run(code: tuple, M: PlausibleStructure, env: dict[str, int]) -> list:
-    """The slot values of a ``_program`` on M: a term's slot lists its
-    element at each assignment of its scope, a formula's slot is the
-    bitmask of the assignments where it holds."""
-    d, opens = M.domain_size, M.omega.opens
-    values: list = []
-    append = values.append
-    for kind, k, x, y in code:
+def _relation(relations: dict, name: str, size: int, *args) -> int:
+    table = relations.get(name)
+    if not table:
+        return 0
+    if (arity := len(next(iter(table)))) != len(args):
+        raise EvaluationError(f"relation {name} expects {arity} arguments")
+    mask = 0
+    for i, row in enumerate(zip(*args) if args else [()] * size):
+        if row in table:
+            mask |= 1 << i
+    return mask
+
+
+def _function(functions: dict, name: str, size: int, *args) -> list[int]:
+    graph = functions.get(name, {})
+    rows = zip(*args) if args else [()] * size
+    try:
+        return [graph[row] for row in rows]
+    except KeyError as error:
+        raise EvaluationError(f"no function value for "
+                              f"{name}{error.args[0]}") from None
+
+
+def _equal(left: list[int], right: list[int]) -> int:
+    return sum(1 << i for i, (a, b) in enumerate(zip(left, right)) if a == b)
+
+
+def _plausible(body: int, opens: frozenset[int], d: int, size: int) -> int:
+    # at assignment i, bit b of the gathered set is bit i of chunk b
+    return sum(1 << i for i in range(size)
+               if sum((body >> b * size + i & 1) << b
+                      for b in range(d)) in opens)
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(formulas: tuple[Formula, ...], d: int):
+    """The ``_program`` of the formulas as one Python function for domain
+    size d.  ``run(M, env)`` takes a structure M of that size and an
+    assignment env to free names, and returns the value of each formula's
+    slot.  Instruction i becomes one assignment to the local ``v<i>``, in
+    program order, so an error is raised where the program would reach
+    it.  Sizes, masks and chunk shifts are worked out here and written as
+    integers (masks in hex, which has no digit limit); names and digit
+    tuples enter as the globals ``k<j>``, so no text of a formula or a
+    structure reaches the source."""
+    code, results = _program(formulas)
+    consts: list = []
+
+    def const(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    lines = ["def run(M, env):",
+             "    relations, functions = M.relations, M.functions",
+             "    constants, opens = M.constants, M.omega.opens"]
+    for i, (kind, k, x, y) in enumerate(code):
         size = d ** k
-        full = (1 << size) - 1
+        full = f"{(1 << size) - 1:#x}"
         if kind is Not:
-            append(full ^ values[x])
+            value = f"{full} ^ v{x}"
         elif kind is And:
-            append(values[x] & values[y])
+            value = f"v{x} & v{y}"
         elif kind is Or:
-            append(values[x] | values[y])
+            value = f"v{x} | v{y}"
         elif kind is Implies:
-            append((full ^ values[x]) | values[y])
+            value = f"({full} ^ v{x}) | v{y}"
         elif kind is Iff:
-            append(full ^ values[x] ^ values[y])
+            value = f"{full} ^ v{x} ^ v{y}"
+        elif kind is Name and y >= 0:
+            # digit y of each assignment
+            value = const(tuple(a // d ** y % d for a in range(size)))
         elif kind is Name:
-            if y >= 0:
-                append(_digits(d, k, y))
-            elif x in env:
-                append([env[x]] * size)
-            elif x in M.constants:
-                append([M.constants[x]] * size)
-            else:
-                raise EvaluationError(f"unbound name {x!r}")
-        elif kind is Rel:
-            table = M.relations.get(x, frozenset())
-            if table and (arity := len(next(iter(table)))) != len(y):
-                raise EvaluationError(f"relation {x} expects {arity} "
-                                      "arguments")
-            rows = zip(*(values[i] for i in y)) if y else [()] * size
-            append(sum(1 << i for i, row in enumerate(rows) if row in table))
-        elif kind is App:
-            graph = M.functions.get(x, {})
-            rows = zip(*(values[i] for i in y)) if y else [()] * size
-            try:
-                append([graph[row] for row in rows])
-            except KeyError as error:
-                raise EvaluationError(f"no function value for "
-                                      f"{x}{error.args[0]}") from None
-        elif kind is Plaus and size == 1:
-            append(int(values[x] in opens))
-        elif kind in (Forall, Exists, Plaus):
-            # chunk b holds the body where the bound variable is b
-            body = values[x]
-            chunks = [body >> b * size & full for b in range(d)]
-            if kind is Forall:
-                append(functools.reduce(operator.and_, chunks))
-            elif kind is Exists:
-                append(functools.reduce(operator.or_, chunks))
-            else:
-                append(sum(1 << i for i in range(size)
-                           if sum((c >> i & 1) << b
-                                  for b, c in enumerate(chunks)) in opens))
+            value = f"_name(env, constants, {const(x)}, {size})"
+        elif kind in (Rel, App):
+            call = "_relation(relations" if kind is Rel \
+                else "_function(functions"
+            value = (f"{call}, {const(x)}, {size}"
+                     f"{''.join(f', v{a}' for a in y)})")
         elif kind is Eq:
-            append(sum(1 << i for i, (a, b)
-                       in enumerate(zip(values[x], values[y])) if a == b))
+            value = f"_equal(v{x}, v{y})"
+        elif kind is Plaus and k == 0:
+            value = f"int(v{x} in opens)"
+        elif kind is Plaus:
+            value = f"_plausible(v{x}, opens, {d}, {size})"
+        elif kind in (Forall, Exists):
+            # chunk b holds the body where the bound variable is b
+            chunks = [f"v{x} >> {b * size}" if b else f"v{x}"
+                      for b in range(d)]
+            value = f"{' & '.join(chunks)} & {full}" if kind is Forall \
+                else f"({' | '.join(chunks)}) & {full}"
         else:
-            append(full if kind is Top else 0)
-    return values
+            value = full if kind is Top else "0"
+        lines.append(f"    v{i} = {value}")
+    lines.append(f"    return ({''.join(f'v{slot}, ' for slot in results)})")
+    namespace = {"_name": _name, "_relation": _relation,
+                 "_function": _function, "_equal": _equal,
+                 "_plausible": _plausible,
+                 **{f"k{j}": value for j, value in enumerate(consts)}}
+    exec(compile("\n".join(lines), "<folp program>", "exec"), namespace)
+    return namespace["run"]
 
 
 def satisfies(M: PlausibleStructure, f: Formula,
@@ -370,14 +432,15 @@ def satisfies(M: PlausibleStructure, f: Formula,
     """Tarskian satisfaction; the plausibility quantifier asks whether the
     definable set is open.
 
-    The program of ``(f,)`` runs once on M (see the module docstring), and
-    the sentence f's value is a 1-bit mask.  Each atom is evaluated at all
+    The program of ``(f,)``, compiled for M's domain size, runs once on M
+    (see the module docstring), and the sentence f's value is a 1-bit
+    mask.  Each atom is evaluated at all
     d^k assignments of the k variables bound around it, in O(d^k) time,
     and each node's d^k-bit mask, or a term's d^k elements, is kept until
     the run ends.  So an unbound name or a wrong arity anywhere in f raises
     EvaluationError, whichever operand would decide first."""
-    code, (slot,) = _program((f,))
-    return bool(_run(code, M, assignment or {})[slot])
+    (value,) = _compiled((f,), M.domain_size)(M, assignment or {})
+    return bool(value)
 
 
 @dataclass(frozen=True)
@@ -412,9 +475,8 @@ def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,
     a5 is the monotonicity schema, not an axiom over pseudo-topologies:
     it fails exactly where the set phi defines is open and lies inside the
     set psi defines, which is not open (see ``AxiomReport``)."""
-    code, slots = _program(_instances(phi, psi, x))
-    values = _run(code, M, {})
-    a1, a2, a3, a4, a5, plaus, variant = (values[slot] for slot in slots)
+    run = _compiled(_instances(phi, psi, x), M.domain_size)
+    a1, a2, a3, a4, a5, plaus, variant = run(M, {})
     return AxiomReport(*map(bool, (a1, a2, a3, a4, a5)), plaus == variant)
 
 

@@ -369,14 +369,3 @@ def library_proofs() -> dict[str, tuple[list[ProofLine], list[Formula]]]:
     """Parsed form of every shipped proof."""
     return {name: parse_proof(text) for name, text in LIBRARY.items()}
 
-
-def library_theorems() -> dict[str, Formula]:
-    out = {}
-    for name, (lines, premises) in library_proofs().items():
-        result = check_proof(lines, premises)
-        if not result.ok:
-            raise AssertionError(
-                f"shipped proof {name} fails at line {result.line}: "
-                f"{result.reason}")
-        out[name] = result.proved
-    return out

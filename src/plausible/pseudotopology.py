@@ -27,6 +27,11 @@ class PseudoTopology:
     universe_size: int
     opens: frozenset[int]
 
+    def __post_init__(self):
+        # a plain set would make the space unhashable
+        if type(self.opens) is not frozenset:
+            object.__setattr__(self, "opens", frozenset(self.opens))
+
     @property
     def full(self) -> int:
         return (1 << self.universe_size) - 1

@@ -211,6 +211,24 @@ def test_structure_validation():
         structure(2, [1, 3], constants={"c": 5})
 
 
+def test_relation_tables_are_checked_on_every_construction():
+    # the check is memoised per table, so the contract is the caller's:
+    # a bad table raises each time, naming the relation it is given as
+    omega = PseudoTopology(2, frozenset([1, 3]))
+    for name in ("R", "Q", "R"):
+        with pytest.raises(ValueError,
+                           match=f"^relation {name} tuple out of range$"):
+            PlausibleStructure(2, {name: frozenset([(0,), (2,)])}, {}, {},
+                               omega)
+        with pytest.raises(ValueError,
+                           match=f"^mixed arity in relation {name}$"):
+            PlausibleStructure(2, {name: {(0,), (0, 1)}}, {}, {}, omega)
+    # a plain set is accepted, and reads as the frozenset does
+    M = PlausibleStructure(2, {"R": {(1,)}}, {}, {}, omega)
+    assert satisfies(M, parse_fo("R(x)"), {"x": 1})
+    assert not satisfies(M, parse_fo("P x. R(x)"))
+
+
 def test_json_round_trip(M):
     doc = M.to_json()
     assert doc["omega"] == [4, 5, 6, 7]
@@ -250,6 +268,32 @@ def test_unary_structures_range_is_checked_at_the_call():
         with pytest.raises(ValueError, match=f"max_domain must be in "
                                              f"1..{MAX_UNIVERSE}, got {bad}"):
             unary_structures(bad)
+
+
+def test_names_reach_the_program_as_values_not_text():
+    # the compiled function's source holds only slot numbers and integers,
+    # so a name of any text is looked up, never parsed
+    M = structure(2, [1, 3], relations={"R": [(0,)]})
+    odd = 'x") + (\n\'k0'
+    with pytest.raises(EvaluationError, match="unbound name"):
+        satisfies(M, Rel("R", (Name(odd),)))
+    assert satisfies(M, Rel("R", (Name(odd),)), {odd: 0})
+    assert not satisfies(M, Rel(odd, ()))
+    assert not satisfies(M, Exists(odd, Rel(odd, (Name(odd),))))
+    assert satisfies(M, Exists(odd, Rel("R", (Name(odd),))))
+
+
+def test_masks_wider_than_the_decimal_digit_limit():
+    # seven binders on four points give 4^7 = 16384-bit masks, whose
+    # decimal form is beyond Python's default integer-string limit
+    def forall_seven(matrix):
+        return functools.reduce(lambda g, i: Forall(f"x{i}", g), range(7),
+                                matrix)
+
+    r0, r6 = Rel("R", (Name("x0"),)), Rel("R", (Name("x6"),))
+    M = structure(4, [15], relations={"R": [(1,)]})
+    assert satisfies(M, forall_seven(Or(r0, Not(r0))))
+    assert not satisfies(M, forall_seven(Or(r0, r6)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +399,11 @@ _fo_formulas = st.tuples(st.lists(_binders, max_size=3), _matrices).map(
 
 
 @st.composite
-def _structures(draw):
-    """Domain 1-3, any space on it, R unary, L binary, S 0-ary, f unary
-    and one constant c, with a random assignment to x, y and maybe z."""
-    d = draw(st.integers(1, 3))
+def _structures(draw, domain_size=None):
+    """Domain 1-4 unless given, any space on it, R unary, L binary, S
+    0-ary, f unary and one constant c, with a random assignment to x, y
+    and maybe z."""
+    d = domain_size or draw(st.integers(1, MAX_UNIVERSE))
     points = st.integers(0, d - 1)
     # the relations as bitmasks over their tuples
     r, l2, s0 = (draw(st.integers(0, (1 << d ** n) - 1)) for n in (1, 2, 0))
@@ -375,10 +420,7 @@ def _structures(draw):
                                          optional={"z": points}))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_fo_formulas, _structures())
-def test_satisfies_matches_the_recursive_reference(f, model):
-    M, assignment = model
+def _assert_agrees_with_the_reference(M, f, assignment):
     got = _outcome(satisfies, M, f, assignment)
     if isinstance(got, bool):
         # so wherever the reference raises, the compiled evaluator does too
@@ -386,3 +428,19 @@ def test_satisfies_matches_the_recursive_reference(f, model):
     # it raises exactly where a reference that reaches every atom does
     eager = _outcome(reference_satisfies, M, f, assignment, eager=True)
     assert isinstance(got, str) == isinstance(eager, str)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fo_formulas, _structures())
+def test_satisfies_matches_the_recursive_reference(f, model):
+    M, assignment = model
+    _assert_agrees_with_the_reference(M, f, assignment)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_fo_formulas, st.data())
+def test_one_formula_on_every_domain_size(f, data):
+    # the formula's program is compiled once for each size, in one process
+    for d in range(1, MAX_UNIVERSE + 1):
+        M, assignment = data.draw(_structures(d))
+        _assert_agrees_with_the_reference(M, f, assignment)

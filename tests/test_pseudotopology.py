@@ -49,6 +49,16 @@ def test_validate_memo_keeps_its_contract():
             validate(space(1, [1, 2]))
 
 
+def test_a_set_of_opens_becomes_a_frozenset():
+    # so that a space built from a plain set is hashable, and equal to and
+    # hashed like the one built from a frozenset
+    from_set, from_frozenset = PseudoTopology(2, {1, 3}), space(2, [1, 3])
+    assert type(from_set.opens) is frozenset
+    assert from_set == from_frozenset
+    assert hash(from_set) == hash(from_frozenset)
+    assert len({from_set, from_frozenset}) == 1
+
+
 def test_validate_catches_missing_union():
     # intersections fine, union 7 of 3 and 5 missing
     v = validate(space(3, [1, 3, 5, 7]))

@@ -39,11 +39,18 @@ def _sweep(*argv):
                            *argv], env=env, capture_output=True, timeout=120)
 
 
+# sha256 of the sweep's standard output, by --max-domain
+SWEEP_DIGESTS = {
+    "3": "c95e6812779f193d9736d68e3d00b15708331b603e2df31dbb624b233604a5dc",
+    "4": "278baa5b9c963b80ef010cc763e8818c05bd241d9f29bc77d0a3dbec6dc41b6d",
+}
+
+
 def test_fo_axiom_sweep_output_is_pinned():
-    done = _sweep("--max-domain", "3")
-    assert done.returncode == 0, done.stderr
-    assert hashlib.sha256(done.stdout).hexdigest() == \
-        "c95e6812779f193d9736d68e3d00b15708331b603e2df31dbb624b233604a5dc"
+    for max_domain, digest in SWEEP_DIGESTS.items():
+        done = _sweep("--max-domain", max_domain)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout).hexdigest() == digest, max_domain
 
 
 @pytest.mark.parametrize("max_domain", ["0", "5", "-1"])
