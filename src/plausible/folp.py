@@ -14,10 +14,13 @@ part of it.
 
 Formulas are evaluated as definable sets.  ``_program`` compiles a tuple
 of formulas once into straight-line code with one value slot per distinct
-(subterm or subformula, scope), the scope being the variables bound around
-the node, innermost last.  On a domain of size d, assignment i of a scope
-of k variables gives ``scope[j]`` digit j of i in base d.  A term's slot
-lists its element at each of the d^k assignments and a formula's slot is
+subterm or subformula, read in its scope, the variables bound around the
+node, innermost last.  Slots are shared modulo the names of bound
+variables: a bound name is compiled to the digit it reads, so
+alpha-equivalent nodes, such as ``P x. R(x)`` and ``P y. R(y)``, are one
+instruction.  On a domain of size d, assignment i of a scope of k
+variables gives ``scope[j]`` digit j of i in base d.  A term's slot lists
+its element at each of the d^k assignments and a formula's slot is
 the d^k-bit mask of those where it holds.  A binder's variable is the most
 significant digit of its body, so the body's mask is d chunks of d^k bits:
 ``forall`` ANDs them, ``exists`` ORs them and ``P`` asks, at each
@@ -34,10 +37,13 @@ shifts written in as integers; connectives, ``forall``, ``exists`` and
 ``P`` on a sentence are inline bit operations, and atoms, free names and
 ``P`` under a binder call small helpers that raise ``EvaluationError``
 where the program reaches them.  Names and digit tuples enter as globals
-of the function, never as source text.  Building a structure checks each
-relation table once per (domain size, table), as ``pseudotopology``
-checks each opens-family once, so structures that share tables share the
-check.
+of the function, never as source text.  A relation whose arguments are
+all bound names has a mask that depends on its table alone, so it is
+memoised per table (a wrong arity as its message, raised on each call).
+Building a structure checks each relation table once per (domain size,
+table), as ``pseudotopology`` checks each opens-family once, so
+structures that share tables share the check.  ``check_axioms`` returns
+one shared ``AxiomReport`` per tuple of verdicts.
 """
 
 from __future__ import annotations
@@ -124,6 +130,16 @@ def free_names(f: Formula) -> set[str]:
     raise AssertionError(f)
 
 
+def _names(f: Formula) -> set[str]:
+    """Every name in f, free or bound, binders' variables included."""
+    if isinstance(f, Binder):
+        return _names(f.body) | {f.var}
+    if isinstance(f, (Name, App, Rel, Eq)):
+        # terms bind nothing
+        return free_names(f)
+    return set().union(*(_names(getattr(f, n)) for n in f._fields))
+
+
 def rename_bound(f: Formula, old: str, new: str) -> Formula:
     """Replace free occurrences of a name (used for alphabetic variants)."""
     def term(t: Formula) -> Formula:
@@ -165,16 +181,24 @@ class PlausibleStructure:
     omega: PseudoTopology
 
     def __post_init__(self):
-        if self.omega.universe_size != self.domain_size:
+        omega = self.omega
+        if omega.universe_size != self.domain_size:
             raise ValueError("opens-family universe must match the domain")
-        verdict = pseudotopology.validate(self.omega)
-        if not verdict:
+        # a PseudoTopology's opens are already a frozenset
+        verdict = pseudotopology._validate(omega.universe_size, omega.opens)
+        if not verdict.ok:
             raise ValueError(f"invalid opens-family: {verdict.axiom}")
         for name, table in self.relations.items():
-            fault = _table_fault(self.domain_size, frozenset(table))
+            table = frozenset(table)
+            fault = _table_fault(self.domain_size, table, id(table))
             if fault is not None:
                 raise ValueError(fault.format(name))
         for name, graph in self.functions.items():
+            if not all(isinstance(t, tuple) and all(map(_is_int, t))
+                       for t in graph) or not all(map(_is_int,
+                                                      graph.values())):
+                raise ValueError(f"function {name} graph must map tuples "
+                                 "of integers to integers")
             arities = {len(t) for t in graph}
             if len(arities) != 1:
                 raise ValueError(f"function {name} graph must be total and "
@@ -186,6 +210,9 @@ class PlausibleStructure:
             if any(not 0 <= v < self.domain_size for v in graph.values()):
                 raise ValueError(f"function {name} value out of range")
         for name, v in self.constants.items():
+            if not _is_int(v):
+                raise ValueError(f"constant {name} must be an integer, "
+                                 f"got {v!r}")
             if not 0 <= v < self.domain_size:
                 raise ValueError(f"constant {name} out of range")
 
@@ -237,13 +264,22 @@ class PlausibleStructure:
 
 
 @functools.lru_cache(maxsize=256)
-def _table_fault(domain_size: int, table: frozenset) -> Optional[str]:
+def _table_fault(domain_size: int, table: frozenset,
+                 identity: int) -> Optional[str]:
     """What is wrong with a relation table on the domain, as a message
     with a slot for the relation's name, or None.  Memoised per table, as
     ``pseudotopology.validate`` is per family: a sweep builds thousands of
     structures on a few dozen tables.  The message is cached, not an
     error, so a bad table raises on every construction, naming the
-    relation it is given as."""
+    relation it is given as.
+
+    ``identity`` is ``id(table)``: a table of bools equals the table of
+    ints (True == 1), so equality alone would let one pass as the other.
+    An entry holds its table, so no other table takes that id while the
+    entry lives."""
+    if not all(isinstance(t, tuple) and all(map(_is_int, t))
+               for t in table):
+        return "relation {} rows must be tuples of integers"
     if len({len(t) for t in table}) > 1:
         return "mixed arity in relation {}"
     if any(not 0 <= v < domain_size for t in table for v in t):
@@ -275,16 +311,21 @@ def _json_rows(value, key: str) -> list[tuple[int, ...]]:
 
 def _program(formulas: tuple[Formula, ...]) -> tuple[tuple, tuple[int, ...]]:
     """The formulas as straight-line code over value slots, and the slot
-    of each.  Each instruction (node class, k, x, y) appends the value of
-    one distinct (node, scope) pair, children first, where k is the length
-    of the scope; x and y are the child slots, or for ``Name`` the name and
-    the digit it reads (-1 when free), for ``App`` and ``Rel`` the symbol
-    and the argument slots."""
+    of each.  Each instruction (node class, k, x, y) appends one value,
+    children first, where k is the length of the scope; x and y are the
+    child slots, or for ``Name`` the name (None when bound) and the digit
+    it reads (-1 when free), for ``App`` and ``Rel`` the symbol and the
+    argument slots.  Slots are keyed by the instruction itself, so a node
+    met again in any scope reuses the slot of an equal instruction: since a
+    bound name keeps only its digit, alpha-equivalent nodes such as
+    ``P x. R(x)`` and ``P y. R(y)`` share one slot."""
     slots: dict[tuple, int] = {}
+    # (node, scope) -> slot, so a shared subformula is walked once
+    seen: dict[tuple, int] = {}
     code: list[tuple] = []
 
     def emit(g: Formula, scope: tuple[str, ...], term: bool = False) -> int:
-        slot = slots.get((g, scope))
+        slot = seen.get((g, scope))
         if slot is not None:
             return slot
         if isinstance(g, (Name, App)) != term:
@@ -292,8 +333,9 @@ def _program(formulas: tuple[Formula, ...]) -> tuple[tuple, tuple[int, ...]]:
         x = y = None
         if isinstance(g, Name):
             # the innermost binder of the name decides
-            x, y = g.name, max((j for j, v in enumerate(scope)
-                                if v == g.name), default=-1)
+            y = max((j for j, v in enumerate(scope) if v == g.name),
+                    default=-1)
+            x = g.name if y < 0 else None
         elif isinstance(g, (App, Rel)):
             x = g.func if isinstance(g, App) else g.name
             y = tuple(emit(a, scope, True) for a in g.args)
@@ -308,8 +350,12 @@ def _program(formulas: tuple[Formula, ...]) -> tuple[tuple, tuple[int, ...]]:
             x = emit(g.body, (*scope, g.var))
         elif not isinstance(g, (Top, Bottom)):
             raise AssertionError(g)
-        code.append((type(g), len(scope), x, y))
-        slot = slots[g, scope] = len(code) - 1
+        instruction = (type(g), len(scope), x, y)
+        slot = slots.get(instruction)
+        if slot is None:
+            code.append(instruction)
+            slot = slots[instruction] = len(code) - 1
+        seen[g, scope] = slot
         return slot
 
     results = tuple(emit(f, ()) for f in formulas)
@@ -336,6 +382,31 @@ def _relation(relations: dict, name: str, size: int, *args) -> int:
         if row in table:
             mask |= 1 << i
     return mask
+
+
+def _bound_relation(relations: dict, name: str, size: int,
+                    args: tuple) -> int:
+    """``_relation`` where every argument is a bound name, given by its
+    digit tuple: the mask then depends only on the table, so it comes from
+    ``_relation_mask``, memoised per table."""
+    table = relations.get(name)
+    if not table:
+        return 0
+    mask = _relation_mask(frozenset(table), name, size, args)
+    if type(mask) is str:
+        raise EvaluationError(mask)
+    return mask
+
+
+@functools.lru_cache(maxsize=1024)
+def _relation_mask(table: frozenset, name: str, size: int,
+                   args: tuple) -> int | str:
+    # a wrong arity is cached as its message, not as an error, so it is
+    # raised on every call
+    try:
+        return _relation({name: table}, name, size, *args)
+    except EvaluationError as error:
+        return str(error)
 
 
 def _function(functions: dict, name: str, size: int, *args) -> list[int]:
@@ -380,6 +451,7 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
     lines = ["def run(M, env):",
              "    relations, functions = M.relations, M.functions",
              "    constants, opens = M.constants, M.omega.opens"]
+    digits: dict[int, tuple] = {}  # slot of a bound name -> its digits
     for i, (kind, k, x, y) in enumerate(code):
         size = d ** k
         full = f"{(1 << size) - 1:#x}"
@@ -395,9 +467,13 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
             value = f"{full} ^ v{x} ^ v{y}"
         elif kind is Name and y >= 0:
             # digit y of each assignment
-            value = const(tuple(a // d ** y % d for a in range(size)))
+            digits[i] = tuple(a // d ** y % d for a in range(size))
+            value = const(digits[i])
         elif kind is Name:
             value = f"_name(env, constants, {const(x)}, {size})"
+        elif kind is Rel and all(a in digits for a in y):
+            args = const(tuple(digits[a] for a in y))
+            value = f"_bound_relation(relations, {const(x)}, {size}, {args})"
         elif kind in (Rel, App):
             call = "_relation(relations" if kind is Rel \
                 else "_function(functions"
@@ -420,6 +496,7 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
         lines.append(f"    v{i} = {value}")
     lines.append(f"    return ({''.join(f'v{slot}, ' for slot in results)})")
     namespace = {"_name": _name, "_relation": _relation,
+                 "_bound_relation": _bound_relation,
                  "_function": _function, "_equal": _equal,
                  "_plausible": _plausible,
                  **{f"k{j}": value for j, value in enumerate(consts)}}
@@ -477,14 +554,24 @@ def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,
     set psi defines, which is not open (see ``AxiomReport``)."""
     run = _compiled(_instances(phi, psi, x), M.domain_size)
     a1, a2, a3, a4, a5, plaus, variant = run(M, {})
-    return AxiomReport(*map(bool, (a1, a2, a3, a4, a5)), plaus == variant)
+    # a sentence's value is a 1-bit mask, 0 or 1
+    return _REPORTS[a1 | a2 << 1 | a3 << 2 | a4 << 3 | a5 << 4
+                    | (plaus == variant) << 5]
+
+
+# the 64 reports, indexed by their verdicts a1..a6 as bits 0..5: every
+# call with the same verdicts returns the same immutable report
+_REPORTS = tuple(AxiomReport(*(bool(i >> j & 1) for j in range(6)))
+                 for i in range(64))
 
 
 @functools.lru_cache(maxsize=256)
 def _instances(phi: Formula, psi: Formula, x: str) -> tuple[Formula, ...]:
     # Built once per instance pair: a sweep checks one pair on thousands
     # of structures, and interning makes each fresh build a table miss.
-    used = free_names(phi) | {x}
+    # every name of phi, bound ones too: renaming x to a name bound inside
+    # phi would let that binder capture it
+    used = _names(phi) | {x}
     fresh = next(f"v{i}" for i in itertools.count()
                  if f"v{i}" not in used)
     return (Implies(And(Plaus(x, phi), Plaus(x, psi)),

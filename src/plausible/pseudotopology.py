@@ -56,7 +56,8 @@ def validate(space: PseudoTopology) -> Verdict:
     verdict is memoised per family: a sweep builds thousands of
     structures on a few hundred families.  An open out of range raises
     ValueError on every call."""
-    return _validate(space.universe_size, frozenset(space.opens))
+    # a space's opens are a frozenset already (see PseudoTopology)
+    return _validate(space.universe_size, space.opens)
 
 
 @functools.lru_cache(maxsize=256)

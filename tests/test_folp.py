@@ -4,9 +4,10 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plausible.folp import (App, Eq, EvaluationError, Exists, Forall, Name,
-                            Plaus, PlausibleStructure, Rel, check_axioms,
-                            free_names, parse_fo, rename_bound, satisfies,
+from plausible.folp import (App, AxiomReport, Eq, EvaluationError, Exists,
+                            Forall, Name, Plaus, PlausibleStructure, Rel,
+                            _instances, _program, check_axioms, free_names,
+                            parse_fo, rename_bound, satisfies,
                             unary_structures)
 from plausible.formula import (BINARY, And, Binder, Bottom, Formula, Iff,
                                Implies, Not, Or, ParseError, Top, render)
@@ -229,6 +230,28 @@ def test_relation_tables_are_checked_on_every_construction():
     assert not satisfies(M, parse_fo("P x. R(x)"))
 
 
+@pytest.mark.parametrize("relations, functions, constants, message", [
+    ({"R": {("a",)}}, {}, {}, "relation R rows"),
+    ({"Q": {1, 2}}, {}, {}, "relation Q rows"),
+    ({"R": {(0.5,)}}, {}, {}, "relation R rows"),
+    ({"R": {(True,)}}, {}, {}, "relation R rows"),
+    ({}, {"f": {0: 1, 1: 0}}, {}, "function f graph"),
+    ({}, {"f": {(0,): True, (1,): 0}}, {}, "function f graph"),
+    ({}, {"g": {(0.0,): 1, (1,): 0}}, {}, "function g graph"),
+    ({}, {}, {"c": "x"}, "constant c must be an integer"),
+    ({}, {}, {"k": True}, "constant k must be an integer"),
+])
+def test_ill_typed_entries_are_rejected(relations, functions, constants,
+                                        message):
+    omega = PseudoTopology(2, frozenset([1, 3]))
+    # an equal table of ints is checked first: True == 1, so the memoised
+    # check must not let the bools through on the ints' verdict
+    PlausibleStructure(2, {"R": frozenset([(1,)])}, {}, {}, omega)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            PlausibleStructure(2, relations, functions, constants, omega)
+
+
 def test_json_round_trip(M):
     doc = M.to_json()
     assert doc["omega"] == [4, 5, 6, 7]
@@ -254,12 +277,73 @@ def test_check_axioms_finds_the_known_monotonicity_failure():
     assert not report.a5
 
 
+def _reference_report(M, phi, psi, x):
+    *schemas, plaus, variant = (reference_satisfies(M, s)
+                                for s in _instances(phi, psi, x))
+    return AxiomReport(*schemas, plaus == variant)
+
+
+def test_alphabetic_variant_does_not_capture():
+    # x renamed to a name bound inside phi would be captured by that
+    # binder: the variant must be P v1. exists v0. R(v1, v0)
+    phi = parse_fo("exists v0. R(x, v0)")
+    psi = parse_fo("R(x, x)")
+    assert _instances(phi, psi, "x")[-1] is \
+        parse_fo("P v1. exists v0. R(v1, v0)")
+    omega = PseudoTopology(2, frozenset([1, 3]))
+    for mask in range(16):
+        M = PlausibleStructure(
+            2, {"R": frozenset(divmod(a, 2) for a in range(4)
+                               if mask >> a & 1)}, {}, {}, omega)
+        report = check_axioms(M, phi, psi, "x")
+        assert report == _reference_report(M, phi, psi, "x")
+        assert report.a6
+
+
 def test_alphabetic_variant_invariance(M):
     f = parse_fo("P x. R(x)")
     g = parse_fo("P y. R(y)")
     assert satisfies(M, f) == satisfies(M, g)
     report = check_axioms(M, parse_fo("R(x)"), parse_fo("Less(c, x)"), "x")
     assert report.a6
+
+
+def test_alpha_equivalent_nodes_share_a_slot():
+    code, results = _program((parse_fo("P x. R(x)"), parse_fo("P y. R(y)")))
+    kinds = [kind for kind, *_ in code]
+    assert kinds.count(Rel) == kinds.count(Plaus) == 1
+    assert results == (kinds.index(Plaus),) * 2
+    # a bound name keeps its digit: the inner x is not the outer one
+    shadowed = parse_fo("forall x. (R(x) & exists x. S(x))")
+    for M in unary_structures(3):
+        assert satisfies(M, shadowed) == reference_satisfies(M, shadowed)
+
+
+def test_relation_masks_keep_the_evaluation_contract():
+    omega = PseudoTopology(2, frozenset([1, 3]))
+    good = PlausibleStructure(2, {"R": frozenset([(1,)])}, {}, {}, omega)
+    pairs = frozenset([(0, 1)])
+    bad = PlausibleStructure(2, {"R": pairs, "Q": pairs}, {}, {}, omega)
+    for _ in range(2):
+        assert satisfies(good, parse_fo("exists x. R(x)"))
+        # the memo caches the message, so each call raises, naming the
+        # relation the table is read as
+        for name in ("R", "Q"):
+            with pytest.raises(EvaluationError,
+                               match=f"^relation {name} expects 2 "
+                                     f"arguments$"):
+                satisfies(bad, parse_fo(f"exists x. {name}(x)"))
+    # one table under two names, and a plain set, read as a frozenset does
+    assert satisfies(bad, parse_fo("forall x. exists y. "
+                                   "R(x, y) <-> Q(x, y)"))
+    assert satisfies(bad, parse_fo("exists x. exists y. R(x, y) & Q(x, y)"))
+    plain = PlausibleStructure(2, {"R": {(1,)}}, {}, {}, omega)
+    for _ in range(2):
+        assert satisfies(plain, parse_fo("exists x. R(x)"))
+        assert not satisfies(plain, parse_fo("forall x. R(x)"))
+    # an empty table, or an absent one of any arity, reads as empty
+    empty = PlausibleStructure(2, {"R": frozenset()}, {}, {}, omega)
+    assert not satisfies(empty, parse_fo("exists x. R(x) | S(x, x)"))
 
 
 def test_unary_structures_range_is_checked_at_the_call():
@@ -444,3 +528,20 @@ def test_one_formula_on_every_domain_size(f, data):
     for d in range(1, MAX_UNIVERSE + 1):
         M, assignment = data.draw(_structures(d))
         _assert_agrees_with_the_reference(M, f, assignment)
+
+
+# matrices whose only free variable is x: y and z are bound around them
+_x_matrices = st.tuples(st.sampled_from([Forall, Exists, Plaus]),
+                        st.sampled_from([Forall, Exists, Plaus]),
+                        _matrices).map(lambda t: t[0]("y", t[1]("z", t[2])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_x_matrices, _x_matrices, _structures())
+def test_check_axioms_matches_the_recursive_reference(phi, psi, model):
+    M, _ = model
+    report = check_axioms(M, phi, psi, "x")
+    assert report == _reference_report(M, phi, psi, "x")
+    # a1-a4 and a6 are axioms of the logic; a5 is not
+    assert (report.a1, report.a2, report.a3, report.a4, report.a6) == \
+        (True,) * 5
