@@ -552,7 +552,7 @@ def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,
     a5 is the monotonicity schema, not an axiom over pseudo-topologies:
     it fails exactly where the set phi defines is open and lies inside the
     set psi defines, which is not open (see ``AxiomReport``)."""
-    run = _compiled(_instances(phi, psi, x), M.domain_size)
+    run = _axiom_program(phi, psi, x, M.domain_size)
     a1, a2, a3, a4, a5, plaus, variant = run(M, {})
     # a sentence's value is a 1-bit mask, 0 or 1
     return _REPORTS[a1 | a2 << 1 | a3 << 2 | a4 << 3 | a5 << 4
@@ -566,9 +566,14 @@ _REPORTS = tuple(AxiomReport(*(bool(i >> j & 1) for j in range(6)))
 
 
 @functools.lru_cache(maxsize=256)
+def _axiom_program(phi: Formula, psi: Formula, x: str, d: int):
+    # The compiled instances of one pair, found in one lookup: a sweep
+    # checks a pair on thousands of structures, and this four-field key
+    # hashes faster than the seven instances (a tuple rehashes each time).
+    return _compiled(_instances(phi, psi, x), d)
+
+
 def _instances(phi: Formula, psi: Formula, x: str) -> tuple[Formula, ...]:
-    # Built once per instance pair: a sweep checks one pair on thousands
-    # of structures, and interning makes each fresh build a table miss.
     # every name of phi, bound ones too: renaming x to a name bound inside
     # phi would let that binder capture it
     used = _names(phi) | {x}

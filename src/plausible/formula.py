@@ -10,7 +10,9 @@ parser subclasses ``_Parser`` and ``render`` prints both.
 Formulas are immutable and interned (hash-consed): building a formula
 returns the one live node with the same constructor and children, so
 equality is identity, which coincides with syntactic equality, and hashing
-takes constant time.  Nothing is normalized implicitly.
+takes constant time.  Nothing is normalized implicitly.  The intern table
+holds weak references (see ``Formula``).  The parser tokenizes in one
+pass, then climbs precedences over a table of the binary connectives.
 
 Evaluation lives in ``algebra``: ``algebra.evaluate`` is the one-model
 reference, and one compiled bit-vector evaluator serves both the
@@ -26,12 +28,25 @@ import weakref
 
 _ATOM_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
-_KEYWORDS = {"true", "false"}
-
-
-_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# Taken on a miss only, so two threads cannot build twin nodes.
+_INTERN: dict[tuple, weakref.ref] = {}
 _INTERN_LOCK = threading.Lock()
+_remove_dead = weakref._remove_dead_weakref
+
+
+def _intern(cls, key: tuple) -> Formula:
+    """The miss path of ``cls(*key[1:])``."""
+    if len(key) - 1 != len(cls._fields):
+        raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments")
+    with _INTERN_LOCK:
+        ref = _INTERN.get(key)  # again: another thread may have built it
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, key[1:]):
+                object.__setattr__(node, name, value)
+            _INTERN[key] = weakref.ref(
+                node, lambda _, key=key: _remove_dead(_INTERN, key))
+    return node
 
 
 class Formula:
@@ -40,7 +55,11 @@ class Formula:
     ``cls(*fields)`` returns the one live node with those fields, so two
     formulas are equal exactly when they are the same object, and equality
     and hashing are the constant-time ones of ``object``.  The intern table
-    holds nodes weakly: a formula nobody references leaves it.
+    maps ``(cls, *fields)`` to a weak reference: a hit is one dict probe, a
+    miss takes a lock, so two threads never build twin nodes.  A dead
+    node's callback drops its entry unless a new node has taken it, and
+    without the lock (it may run during a miss): a formula nobody
+    references leaves the table.
 
     For the printer each class carries ``_prec``, how tightly it binds
     (leaves bind tightest), and each leaf prints itself with ``_head``.
@@ -52,19 +71,9 @@ class Formula:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _INTERN.get(key)
-        if node is None:
-            with _INTERN_LOCK:
-                node = _INTERN.get(key)
-                if node is None:
-                    if len(fields) != len(cls._fields):
-                        raise TypeError(f"{cls.__name__} takes "
-                                        f"{len(cls._fields)} arguments")
-                    node = object.__new__(cls)
-                    for name, value in zip(cls._fields, fields):
-                        object.__setattr__(node, name, value)
-                    _INTERN[key] = node
-        return node
+        ref = _INTERN.get(key)
+        node = ref() if ref is not None else None
+        return _intern(cls, key) if node is None else node
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -88,9 +97,17 @@ class Atom(Formula):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str):
-        if not _ATOM_RE.fullmatch(name) or name in _KEYWORDS:
-            raise ValueError(f"bad atom name: {name!r}")
-        return super().__new__(cls, name)
+        try:  # the table first; the name is checked on a miss only
+            ref = _INTERN.get((cls, name))
+        except TypeError:  # an unhashable name
+            ref = None
+        node = ref() if ref is not None else None
+        if node is None:
+            if not isinstance(name, str) or not _ATOM_RE.fullmatch(name) \
+                    or name in ("true", "false"):
+                raise ValueError(f"bad atom name: {name!r}")
+            node = _intern(cls, (cls, name))
+        return node
 
     def _head(self) -> str:
         return self.name
@@ -197,39 +214,38 @@ class ParseError(ValueError):
 
 
 class _Parser:
-    """Recursive descent over the connectives, loosest first: <->, ->, |,
-    &, then prefix operators and parentheses.  ``parse`` uses this class
-    as it is; a language subclass supplies only what differs: its token
-    pattern, the label of its identifiers in tokenizer errors, its prefix
-    operators and its primaries."""
+    """Precedence climbing over the binary connectives, then prefix
+    operators and parentheses.  ``parse`` uses this class as it is; a
+    language subclass supplies only what differs: its token pattern (two
+    groups, identifier and operator), the label of its identifiers in
+    tokenizer errors, its prefix operators and its primaries."""
 
     token_re = re.compile(
         r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op><->|->|[~#&|()]))")
     ident_label = "atom"
     prefix = {"~": Not, "#": Nabla}
+    binary = {"<->": Iff, "->": Implies, "|": Or, "&": And}
 
     def __init__(self, text: str):
         self.tokens = self._tokenize(text)
         self.i = 0
 
     def _tokenize(self, text: str) -> list[tuple[str, str, int]]:
+        # a match that starts past the last one skipped a bad character
         tokens = []
         pos = 0
-        match = self.token_re.match
-        while pos < len(text):
-            m = match(text, pos)
-            if m is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}",
-                                 len(text) - len(stripped),
-                                 (self.ident_label, "operator"))
-            if m.group("ident"):
-                tokens.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                tokens.append((m.group("op"), m.group("op"), m.start("op")))
+        for m in self.token_re.finditer(text):
+            if m.start() != pos:
+                break
             pos = m.end()
+            ident, op = m.groups()
+            tokens.append(("ident", ident, pos - len(ident)) if ident
+                          else (op, op, pos - len(op)))
+        stripped = text[pos:].lstrip()
+        if stripped:
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped),
+                             (self.ident_label, "operator"))
         tokens.append(("end", "", len(text)))
         return tokens
 
@@ -253,52 +269,36 @@ class _Parser:
         self.i += 1
         return tok
 
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek()[0] == "<->":
-            self.take("<->")
-            return Iff(left, self.formula())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.take("->")
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek()[0] == "|":
-            self.take("|")
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
+    def formula(self, weakest: int = 1) -> Formula:
+        """The longest formula ahead joining unary operands by binary
+        connectives of ``_prec`` at least ``weakest``; -> and <-> group to
+        the right, & and | to the left."""
         left = self.unary()
-        while self.peek()[0] == "&":
-            self.take("&")
-            left = And(left, self.unary())
-        return left
+        while True:
+            op = self.binary.get(self.tokens[self.i][0])
+            if op is None or op._prec < weakest:
+                return left
+            self.i += 1
+            left = op(left, self.formula(op._prec + (op not in _RIGHT_ASSOC)))
 
     def unary(self) -> Formula:
-        kind = self.peek()[0]
+        kind = self.tokens[self.i][0]
         op = self.prefix.get(kind)
         if op is not None:
-            self.take(kind)
+            self.i += 1
             return op(self.unary())
         if kind == "(":
-            self.take("(")
+            self.i += 1
             inner = self.formula()
             self.take(")")
             return inner
         return self.primary()
 
     def primary(self) -> Formula:
-        kind, value, _ = self.peek()
+        kind, value, _ = self.tokens[self.i]
         if kind != "ident":
             raise self.error(("atom", "true", "false", "~", "#", "("))
-        self.take("ident")
+        self.i += 1
         if value == "true":
             return Top()
         if value == "false":

@@ -25,6 +25,8 @@ def test_parse_error_exit_code(capsys):
 def test_parse_deep_nesting_is_input_error(capsys):
     assert run(["parse", "(" * 3000 + "p" + ")" * 3000]) == 2
     assert capsys.readouterr().err == "error: formula nested too deeply\n"
+    assert run(["parse", "(" * 100_000 + "p" + ")" * 100_000]) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"
 
 
 def test_prove_closed_and_open(capsys):

@@ -1,8 +1,11 @@
 import gc
 import itertools
+import re
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plausible import formula
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
@@ -76,6 +79,140 @@ def test_parse_errors_are_pinned(text, offset, expected, message):
     assert str(exc.value).startswith(f"{message} at offset {offset}")
 
 
+class _ReferenceParser:
+    """The earlier parser, kept as the reference of the differential
+    property: one ``match`` call per token, then recursive descent with one
+    method per binary connective, loosest first."""
+
+    token_re = re.compile(
+        r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op><->|->|[~#&|()]))")
+
+    def __init__(self, text):
+        self.tokens = self._tokenize(text)
+        self.i = 0
+
+    def _tokenize(self, text):
+        tokens = []
+        pos = 0
+        match = self.token_re.match
+        while pos < len(text):
+            m = match(text, pos)
+            if m is None:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                raise ParseError(f"unexpected character {stripped[0]!r}",
+                                 len(text) - len(stripped),
+                                 ("atom", "operator"))
+            if m.group("ident"):
+                tokens.append(("ident", m.group("ident"), m.start("ident")))
+            else:
+                tokens.append((m.group("op"), m.group("op"), m.start("op")))
+            pos = m.end()
+        tokens.append(("end", "", len(text)))
+        return tokens
+
+    def parse(self):
+        f = self.formula()
+        self.take("end")
+        return f
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def error(self, expected):
+        _, value, offset = self.peek()
+        return ParseError(f"unexpected {value!r}" if value
+                          else "unexpected end of input", offset, expected)
+
+    def take(self, kind):
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise self.error((kind,))
+        self.i += 1
+        return tok
+
+    def formula(self):
+        left = self.implication()
+        if self.peek()[0] == "<->":
+            self.take("<->")
+            return Iff(left, self.formula())
+        return left
+
+    def implication(self):
+        left = self.disjunction()
+        if self.peek()[0] == "->":
+            self.take("->")
+            return Implies(left, self.implication())
+        return left
+
+    def disjunction(self):
+        left = self.conjunction()
+        while self.peek()[0] == "|":
+            self.take("|")
+            left = Or(left, self.conjunction())
+        return left
+
+    def conjunction(self):
+        left = self.unary()
+        while self.peek()[0] == "&":
+            self.take("&")
+            left = And(left, self.unary())
+        return left
+
+    def unary(self):
+        kind = self.peek()[0]
+        op = {"~": Not, "#": Nabla}.get(kind)
+        if op is not None:
+            self.take(kind)
+            return op(self.unary())
+        if kind == "(":
+            self.take("(")
+            inner = self.formula()
+            self.take(")")
+            return inner
+        return self.primary()
+
+    def primary(self):
+        kind, value, _ = self.peek()
+        if kind != "ident":
+            raise self.error(ANY)
+        self.take("ident")
+        if value == "true":
+            return Top()
+        if value == "false":
+            return Bottom()
+        return Atom(value)
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return exc.offset, exc.expected, str(exc)
+
+
+# atoms and operators several times over, so that some soups parse
+_SOUP = ["p", "q", "x_1", "true", "false", "truex", "~", "#", "&", "|",
+         "->", "<->", "(", ")"] * 3 + [
+    " ", "  ", "\t", "\n", "\x0b", "\x1c", "\u00a0", "\u2003", "\u2028",
+    "=", ".", "é", ",", "-", "<", ">", "<-", "1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_SOUP), max_size=24).map("".join),
+                 formula_strategy().map(render)))
+def test_parse_agrees_with_the_reference_parser(text):
+    """The same formula object, or a ParseError with the same offset,
+    expectations and message; rendered formulas add texts that parse."""
+    assert _outcome(parse, text) == \
+        _outcome(lambda t: _ReferenceParser(t).parse(), text)
+
+
+def test_parse_nests_400_parentheses():
+    assert parse("(" * 400 + "p" + ")" * 400) is p
+
+
 def test_render_examples():
     assert render(Nabla(p)) == "#p"
     assert render(Implies(Nabla(p), p)) == "#p -> p"
@@ -109,6 +246,9 @@ def test_atom_name_validation():
         Atom("1p")
     with pytest.raises(ValueError):
         Atom("true")
+    for name in (5, None, b"p", ["p"]):
+        with pytest.raises(ValueError, match="bad atom name"):
+            Atom(name)
 
 
 @given(formula_strategy())
@@ -148,6 +288,36 @@ def test_intern_table_drops_dead_formulas():
     del fs
     gc.collect()
     assert len(formula._INTERN) <= before
+
+
+def test_threads_never_build_twin_nodes():
+    gc.collect()
+    before = len(formula._INTERN)
+    barrier = threading.Barrier(4, timeout=30)
+    built = [None] * 4
+
+    def build(slot):
+        barrier.wait()
+        built[slot] = [Nabla(And(Atom(f"twin{i}"), Not(Atom(f"twin{i}"))))
+                       for i in range(500)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=build, args=(slot,))
+                   for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(f is g for fs in built[1:] for f, g in zip(fs, built[0]))
+    assert len(formula._INTERN) == before + 2000
+    del built
+    gc.collect()
+    assert len(formula._INTERN) == before
 
 
 @given(formula_strategy())
