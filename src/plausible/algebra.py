@@ -174,7 +174,9 @@ def evaluate(f: Formula, alg: PlausibleAlgebra, valuation: Valuation) -> int:
 # Configurations evaluated in one pass, as bit-vectors: the tables x
 # valuations of a size are cut into blocks of this many configurations, so
 # that no world's lane of a bit-vector is longer than this however many
-# atoms a formula has.
+# atoms a formula has.  It must be a power of two: the configurations of a
+# size are a power of two too, so every block is an aligned window, whose
+# start is a multiple of its length.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -193,26 +195,20 @@ def _repeat(pattern: int, period: int, count: int) -> int:
 
 
 def _index_bit(bit: int, start: int, length: int) -> int:
-    """Bit j, for j < length, set where ``start + j`` has ``bit`` set."""
-    half = 1 << bit
-    if half >= length:
-        # the window meets at most two runs of equal bits
-        first = min(length, half - start % half)
-        out = (1 << first) - 1 if start >> bit & 1 else 0
-        if (start + first) >> bit & 1:
-            out |= ((1 << (length - first)) - 1) << first
-        return out
-    # the pattern has period 2 * half, so every block that starts at the
-    # same phase shares one cached mask
-    return _periodic_bit(bit, start % (2 * half), length)
+    """Bit j, for j < length, set where ``start + j`` has ``bit`` set, for
+    an aligned window: ``length`` a power of two dividing ``start``."""
+    if 1 << bit >= length:
+        # the window lies in one run of equal bits
+        return (1 << length) - 1 if start >> bit & 1 else 0
+    # the window is whole periods of the pattern, so every block shares
+    # one cached mask
+    return _periodic_bit(bit, length)
 
 
 @functools.lru_cache(maxsize=64)
-def _periodic_bit(bit: int, phase: int, length: int) -> int:
+def _periodic_bit(bit: int, length: int) -> int:
     half = 1 << bit
-    periods = (phase + length + 2 * half - 1) // (2 * half)
-    ones = ((1 << half) - 1) << half
-    return _repeat(ones, 2 * half, periods) >> phase & ((1 << length) - 1)
+    return _repeat(((1 << half) - 1) << half, 2 * half, length // (2 * half))
 
 
 @functools.lru_cache(maxsize=32)

@@ -527,8 +527,7 @@ class AxiomReport:
     a1-a4 and a6 are axioms of the logic of the plausible. a5 is the
     monotonicity schema ``forall x (phi -> psi) -> (P x. phi -> P x. psi)``,
     which holds only where the opens-family is closed upward (principal
-    spaces, for example); it is not an axiom over pseudo-topologies, and
-    ``all_hold()`` includes it.
+    spaces, for example); it is not an axiom over pseudo-topologies.
 
     a1 and a2 are checked in the corrected reading with the plain
     conjunction / disjunction inside the quantifier (the printed forms nest
@@ -540,9 +539,6 @@ class AxiomReport:
     a4: bool
     a5: bool
     a6: bool
-
-    def all_hold(self) -> bool:
-        return all((self.a1, self.a2, self.a3, self.a4, self.a5, self.a6))
 
 
 def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,

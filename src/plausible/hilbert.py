@@ -363,9 +363,3 @@ LIBRARY: dict[str, str] = {
         3. #(p & q) -> p ; mp 1 2
     """,
 }
-
-
-def library_proofs() -> dict[str, tuple[list[ProofLine], list[Formula]]]:
-    """Parsed form of every shipped proof."""
-    return {name: parse_proof(text) for name, text in LIBRARY.items()}
-

@@ -17,13 +17,13 @@ from plausible.folp import (Forall, Name, PlausibleStructure, Plaus, Rel,
                             unary_structures)
 from plausible.formula import (Atom, Iff, Implies, Nabla, erase_nabla,
                                is_classical_tautology, parse, render)
-from plausible.hilbert import check_proof, instantiate, library_proofs
+from plausible.hilbert import check_proof, instantiate
 from plausible.pseudotopology import (PseudoTopology, enumerate_spaces,
                                       validate as validate_space)
 from plausible.sampling import corpus, depth2_candidates
 from plausible.tableau import is_valid, prove, result_to_json_text
 
-from conftest import CORPUS_SEED, CORPUS_SIZE
+from conftest import CORPUS_SEED, CORPUS_SIZE, LIBRARY_PROOFS
 
 
 def _report(number, name, ok, detail=""):
@@ -64,7 +64,7 @@ def test_criterion_2_worked_tableaux():
     checks = [is_valid(parse("~#(p & ~p)")),
               is_valid(parse("#(#p -> #p)"))]
     lifted = sum(is_valid(Nabla(check_proof(*proof).proved))
-                 for proof in library_proofs().values())
+                 for proof in LIBRARY_PROOFS.values())
     checks.append(lifted == 20)
     ok = all(checks)
     _report(2, "worked tableaux", ok,
@@ -77,7 +77,7 @@ def test_criterion_2_worked_tableaux():
 
 def test_criterion_3_hilbert_tableau_agreement():
     bad = []
-    for name, (lines, premises) in library_proofs().items():
+    for name, (lines, premises) in LIBRARY_PROOFS.items():
         result = check_proof(lines, premises)
         if not (result.ok and result.is_theorem):
             bad.append((name, "check_proof"))

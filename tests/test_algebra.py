@@ -179,9 +179,9 @@ _formulas = st.recursive(
 
 @settings(deadline=None)
 @given(_formulas, st.integers(1, 2),
-       st.sampled_from([3, 64, algebra._BLOCK_ELEMENTS]))
+       st.sampled_from([2, 8, 64, algebra._BLOCK_ELEMENTS]))
 # table 1 is refuted at an earlier valuation than table 0
-@example(parse("q | p | #~(#p & q)"), 2, 3)
+@example(parse("q | p | #~(#p & q)"), 2, 2)
 def test_countermodel_matches_loop(f, max_atoms, block_elements):
     """Small caps cut the flat run of configurations into blocks that
     split tables and, where a table has more valuations than the cap, its
@@ -239,26 +239,27 @@ def test_long_searches_leave_no_block_masks_cached():
 
 
 def test_index_bit_masks_match_their_definition():
-    # the atom masks of a block of valuations, aligned or not, inside one
-    # run of a high bit or across runs of a low one
+    # the atom masks of an aligned block of valuations, inside one run of
+    # a high bit or across whole periods of a low one
     for bit in range(6):
-        for start in range(0, 80, 3):
-            for length in range(1, 40):
+        for length in (1, 2, 4, 8, 16, 32, 64):
+            for start in range(0, 256, length):
                 expected = sum(1 << j for j in range(length)
                                if (start + j) >> bit & 1)
                 assert algebra._index_bit(bit, start, length) == expected
 
 
 def test_block_masks_match_their_definition():
-    # digits and edges of whole sizes and of blocks that start and end
-    # inside a table, configuration i = table * 2**(n k) + valuation index
+    # digits and edges of whole sizes and of aligned blocks, which span
+    # whole tables or lie inside one, configuration i = table * 2**(n k) +
+    # valuation index
     for n in (1, 2, 3):
         frames = [alg.successors for alg in enumerate_algebras(n)]
         for k in (0, 1, 2):
             total = len(frames) << n * k
-            for i0, length in ((0, total), (1, 5), (5, 13),
-                               (total // 3, total // 2)):
-                if not 0 < length <= total - i0:
+            for length, i0 in itertools.product(
+                    (total, total // 2, 4, 1), (0, 4, total // 2)):
+                if not 0 < length <= total - i0 or i0 % length:
                     continue
                 digits, steps, full = algebra._block_masks(n, k, i0, length)
 

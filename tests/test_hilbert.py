@@ -2,9 +2,11 @@ import pytest
 
 from plausible.formula import And, Atom, Implies, Nabla, Not, Or, parse
 from plausible.hilbert import (MP, Premise, ProofLine, RNabla, axiom,
-                               check_proof, instantiate, library_proofs,
-                               nabla_lift, parse_proof)
+                               check_proof, instantiate, nabla_lift,
+                               parse_proof)
 from plausible.tableau import prove
+
+from conftest import LIBRARY_PROOFS
 
 p, q = Atom("p"), Atom("q")
 
@@ -145,22 +147,21 @@ def test_k_axiom_is_a_theorem():
 
 
 def test_library_all_check_and_close():
-    proofs = library_proofs()
-    assert len(proofs) == 20
-    for name, (lines, premises) in proofs.items():
+    assert len(LIBRARY_PROOFS) == 20
+    for name, (lines, premises) in LIBRARY_PROOFS.items():
         result = check_proof(lines, premises)
         assert result.ok, (name, result.line, result.reason)
         assert prove([], result.proved).verdict == "closed", name
 
 
 def test_library_proofs_are_theorems():
-    for name, (lines, premises) in library_proofs().items():
+    for name, (lines, premises) in LIBRARY_PROOFS.items():
         result = check_proof(lines, premises)
         assert result.ok and result.is_theorem, name
 
 
 def test_nabla_lift_is_admissible():
-    for name, (lines, premises) in library_proofs().items():
+    for name, (lines, premises) in LIBRARY_PROOFS.items():
         lifted = nabla_lift(lines)
         result = check_proof(lifted, premises)
         assert result.ok, (name, result.reason)

@@ -1,3 +1,5 @@
+import copy
+import functools
 import hashlib
 import itertools
 import random
@@ -9,8 +11,8 @@ from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, atoms, parse, render)
 from plausible.hilbert import instantiate
 from plausible.sampling import corpus, depth2_candidates, random_formula
-from plausible.tableau import (Branch, BudgetExceeded, expand_step, is_valid,
-                               prove, result_to_json_text, saturate)
+from plausible.tableau import (Branch, BudgetExceeded, is_valid, prove,
+                               result_to_json_text)
 
 from conftest import CORPUS_SEED, CORPUS_SIZE
 
@@ -49,53 +51,58 @@ def test_worked_tableaux():
     assert is_valid(parse("#(p | ~p)")) and is_valid(parse("##(p | ~p)"))
 
 
-def test_open_branch_is_saturated():
-    # a rebuilt branch has no consumption history, so saturate it first;
-    # the fixpoint must add nothing new before expand_step refuses
-    result = prove([], parse("#p -> #q"))
-    branch = saturate(Branch(result.open_branch))
-    assert branch.members == set(result.open_branch)
-    with pytest.raises(ValueError, match="saturated"):
-        expand_step(branch)
+def test_open_branch_is_saturated(cross_oracle_sweep):
+    # proving false from a saturated open branch fires no rule that adds a
+    # formula, so the open branch comes back with at most ~false added
+    goals = [f for f, verdict, _ in cross_oracle_sweep if verdict == "open"]
+    for f in goals + [parse("#p -> #q")]:
+        branch = prove([], f).open_branch
+        again = prove(branch, Bottom())
+        assert again.verdict == "open", render(f)
+        assert again.open_branch == list(dict.fromkeys(
+            branch + [Not(Bottom())])), render(f)
+
+
+def _nodes(node):
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
 
 
 # ---------------------------------------------------------------------------
-# expand_step / saturate
+# single rule steps, read off the proof tree
 
 def test_expand_step_r1():
-    succ = expand_step(Branch([Nabla(And(p, q))]))
-    assert len(succ) == 1
-    assert And(p, q) in succ[0].members
+    r1 = prove([Nabla(And(p, q))], Bottom()).tree
+    assert [n.formula for n in _nodes(r1) if n.rule == "R1"] == [And(p, q)]
 
 
 def test_expand_step_r3_branches():
-    branch = Branch([Not(Nabla(And(p, q)))])
-    succ = expand_step(branch)  # R2 test fails, consumed silently
-    assert len(succ) == 1
-    succ = expand_step(succ[0])
-    assert len(succ) == 2
-    assert Not(Nabla(p)) in succ[0].members
-    assert Not(Nabla(q)) in succ[1].members
+    # the R2 test on ~#(p & q) fails, so R3 splits; both branches close,
+    # so the tree keeps both
+    r3 = prove([Nabla(p), Nabla(q)], Nabla(And(p, q)))
+    assert r3.verdict == "closed"
+    (split,) = [n for n in _nodes(r3.tree) if len(n.children) > 1]
+    assert [(c.rule, c.formula) for c in split.children] == \
+        [("R3", Not(Nabla(p))), ("R3", Not(Nabla(q)))]
 
 
 def test_expand_step_r2_closes_on_valid_argument():
-    branch = Branch([Not(Nabla(Or(p, Not(p))))])
-    succ = expand_step(branch)
-    assert len(succ) == 1
-    assert succ[0].contradiction_flag
-    assert succ[0].is_closed()
+    r2 = prove([Not(Nabla(Or(p, Not(p))))], Bottom())
+    assert r2.verdict == "closed"
+    (node,) = [n for n in _nodes(r2.tree) if n.rule == "R2"]
+    assert node.formula == Bottom() and node.closed and not node.children
 
 
 def test_saturate_examples():
-    closed = saturate(Branch([p, Not(p)]))
-    assert closed.is_closed()
+    assert prove([p, Not(p)], Bottom()).verdict == "closed"
 
-    open_branch = saturate(Branch([Not(Nabla(p))]))
-    assert not open_branch.is_closed()
-    assert open_branch.formulas == [Not(Nabla(p))]
+    # the failed R2 test adds nothing, and R3 does not apply to ~#p
+    open_branch = prove([Not(Nabla(p))], Bottom()).open_branch
+    assert open_branch == [Not(Nabla(p)), Not(Bottom())]
 
-    nested = saturate(Branch([Nabla(Nabla(p))]))
-    assert {Nabla(Nabla(p)), Nabla(p), p} <= nested.members
+    nested = prove([Nabla(Nabla(p))], Bottom()).open_branch
+    assert {Nabla(Nabla(p)), Nabla(p), p} <= set(nested)
 
 
 def test_budget_is_a_distinct_error():
@@ -103,37 +110,68 @@ def test_budget_is_a_distinct_error():
         prove([], parse("#(p & q) -> #(q & p)"), budget=3)
 
 
+def test_copies_share_no_state():
+    branch = Branch([Or(p, q), Nabla(p), Not(q)])
+    branch.cursors[0] = 2
+    branch.links.add(Iff(p, q))
+    twin = branch.copy()
+    for name in ("formulas", "members", "negated", "cursors", "links"):
+        assert getattr(twin, name) == getattr(branch, name), name
+        assert getattr(twin, name) is not getattr(branch, name), name
+    twin.add(q)
+    assert twin.closed and not branch.closed
+    assert q not in branch.members
+
+
 @pytest.mark.parametrize("start", [[Or(p, q)], [Not(Nabla(And(p, q)))]])
 def test_branching_step_leaves_the_parent_untouched(start):
+    # the first alternative closes against an extra premise; the second
+    # branch, developed after it, must not hold the first one's formula
+    closer = Nabla(p) if isinstance(start[0], Not) else Not(p)
+    result = prove(start + [closer], Bottom())
+    (split,) = [n for n in _nodes(result.tree) if len(n.children) > 1]
+    first, second = (c.formula for c in split.children)
+    assert split.children[0].closed
+    assert result.verdict == "open"
+    assert second in result.open_branch
+    assert first not in result.open_branch
+
     branch = Branch(start)
-    if isinstance(start[0], Not):
-        (branch,) = expand_step(branch)  # the failed R2 test comes first
-    formulas, members = list(branch.formulas), set(branch.members)
-    negated, consumed = set(branch.negated), set(branch.consumed)
-    succ = expand_step(branch)
-    assert len(succ) == 2
-    assert branch.formulas == formulas and branch.members == members
-    assert branch.negated == negated and branch.consumed == consumed
-    added = [s.formulas[-1] for s in succ]
-    for s, own, other in zip(succ, added, reversed(added)):
-        assert s.formulas == formulas + [own]
-        assert other not in s.members
-        assert s.consumed > consumed
-    # the parent still selects the same rule
-    assert [s.formulas for s in expand_step(branch)] == \
-        [s.formulas for s in succ]
+    state = {name: copy.copy(getattr(branch, name))
+             for name in ("formulas", "members", "negated", "cursors",
+                          "links")}
+    children = [branch.copy(), branch.copy()]
+    for child, own in zip(children, (first, second)):
+        child.add(own)
+        child.cursors[-1] += 1
+        child.links.add(Iff(own, own))
+    for name, before in state.items():
+        assert getattr(branch, name) == before, name
+    for child, own, other in zip(children, (first, second),
+                                 (second, first)):
+        assert child.formulas == state["formulas"] + [own]
+        assert other not in child.members
+
+
+def test_deep_goals_stay_within_the_stack():
+    # a nested validity test costs four stack frames and a level of
+    # branching one, so prove decides both goals under pytest's stack
+    assert prove([], parse("#" * 200 + "p")).verdict == "open"
+    goal = Not(functools.reduce(And, [Or(Atom(f"p{i}"), Atom(f"q{i}"))
+                                      for i in range(800)]))
+    assert prove([], goal, budget=10 ** 6).verdict == "open"
 
 
 def test_closure_is_detected_in_either_order():
     for pair in ([p, Not(p)], [Not(p), p],
                  [Not(Not(p)), Not(p)], [Not(p), Not(Not(p))]):
-        assert Branch(pair).is_closed(), pair
+        assert Branch(pair).closed, pair
         grown = Branch(pair[:1])
-        assert not grown.is_closed()
+        assert not grown.closed
         grown.add(pair[1])
-        assert grown.is_closed(), pair
-    assert Branch([Bottom()]).is_closed()
-    assert not Branch([p, Not(q), Not(Not(p))]).is_closed()
+        assert grown.closed, pair
+    assert Branch([Bottom()]).closed
+    assert not Branch([p, Not(q), Not(Not(p))]).closed
 
 
 # ---------------------------------------------------------------------------
