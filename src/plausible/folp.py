@@ -12,36 +12,36 @@ grammar keeps the constants ``true`` and ``false`` and adds ``forall x.``,
 predicate application ``R(t, ...)`` and equality ``t1 = t2``; ``#`` is not
 part of it.
 
-Formulas are evaluated as definable sets.  ``_program`` compiles a tuple
-of formulas once into straight-line code with one value slot per distinct
-subterm or subformula, read in its scope, the variables bound around the
-node, innermost last.  Slots are shared modulo the names of bound
-variables: a bound name is compiled to the digit it reads, so
-alpha-equivalent nodes, such as ``P x. R(x)`` and ``P y. R(y)``, are one
-instruction.  On a domain of size d, assignment i of a scope of k
-variables gives ``scope[j]`` digit j of i in base d.  A term's slot lists
-its element at each of the d^k assignments and a formula's slot is
-the d^k-bit mask of those where it holds.  A binder's variable is the most
-significant digit of its body, so the body's mask is d chunks of d^k bits:
-``forall`` ANDs them, ``exists`` ORs them and ``P`` asks, at each
-assignment, whether the d-bit set gathered from the chunks is open.  Time
-is O(d^k) per atom, as for an interpreter that tries one assignment at a
-time, but where such an interpreter holds O(k) values, each slot here holds
-d^k bits or elements, k the binder depth.
+Formulas are evaluated as definable sets.  ``_compiled`` walks a tuple of
+formulas once and writes the source of one Python function per (formulas,
+domain size), compiled once and cached, so a sweep of one sentence over
+thousands of structures pays no per-node dispatch.  Each node is read in
+its scope, the variables bound around it, innermost last.  On a domain of
+size d, assignment i of a scope of k variables gives ``scope[j]`` digit j
+of i in base d.  A term's value lists its element at each of the d^k
+assignments and a formula's value is the d^k-bit mask of those where it
+holds.  A binder's variable is the most significant digit of its body, so
+the body's mask is d chunks of d^k bits: ``forall`` ANDs them, ``exists``
+ORs them and ``P`` asks, at each assignment, whether the d-bit set
+gathered from the chunks is open.  Time is O(d^k) per atom, as for an
+interpreter that tries one assignment at a time, but where such an
+interpreter holds O(k) values, each value here holds d^k bits or
+elements, k the binder depth; a scope of more than 2^20 assignments
+raises ``EvaluationError`` before anything is run.
 
-``_compiled`` turns the program into the source of one Python function per
-(formulas, domain size), compiles it once and caches it, so a sweep of one
-sentence over thousands of structures pays no per-instruction dispatch.
-Each instruction is one assignment to a local, with sizes, masks and chunk
-shifts written in as integers; connectives, ``forall``, ``exists`` and
-``P`` on a sentence are inline bit operations, and atoms, free names and
-``P`` under a binder call small helpers that raise ``EvaluationError``
-where the program reaches them.  Names and digit tuples enter as globals
-of the function, never as source text.  A relation whose arguments are
-all bound names has a mask that depends on its table alone, so it is
-memoised per table (a wrong arity as its message, raised on each call).
-Building a structure checks each relation table once per (domain size,
-table), as ``pseudotopology`` checks each opens-family once, so
+The walk goes children first and assigns each distinct value to one
+local, keyed by the text it assigns, with sizes, masks and chunk shifts
+written in as integers.  Names and digit tuples enter as globals of the
+function, never as source text.  A bound name reads as the global of its
+digit column, so alpha-equivalent nodes, such as ``P x. R(x)`` and
+``P y. R(y)``, assign the same text and share one local.  Connectives,
+``forall``, ``exists`` and ``P`` on a sentence are inline bit operations;
+atoms, free names and ``P`` under a binder call small helpers that raise
+``EvaluationError`` where the run reaches them.  A relation whose
+arguments are all bound names has a mask that depends on its table alone,
+so it is memoised per table (a wrong arity as its message, raised on each
+call).  Building a structure checks each relation table once per (domain
+size, table), as ``pseudotopology`` checks each opens-family once, so
 structures that share tables share the check.  ``check_axioms`` returns
 one shared ``AxiomReport`` per tuple of verdicts.
 """
@@ -112,32 +112,18 @@ class Plaus(Binder):
     _word = "P"
 
 
-def free_names(f: Formula) -> set[str]:
-    """Names not bound by a quantifier (constants included; they are
-    resolved against the structure); terms are formulas here too."""
+def _names(f: Formula) -> set[str]:
+    """Every name in f, free or bound, binders' variables included; the
+    symbols of relations and functions are not names."""
     if isinstance(f, Name):
         return {f.name}
-    if isinstance(f, (Rel, App)):
-        return set().union(*(free_names(a) for a in f.args))
-    if isinstance(f, (Top, Bottom)):
-        return set()
-    if isinstance(f, Not):
-        return free_names(f.child)
-    if isinstance(f, (Eq, *BINARY)):
-        return free_names(f.left) | free_names(f.right)
-    if isinstance(f, Binder):
-        return free_names(f.body) - {f.var}
-    raise AssertionError(f)
-
-
-def _names(f: Formula) -> set[str]:
-    """Every name in f, free or bound, binders' variables included."""
-    if isinstance(f, Binder):
-        return _names(f.body) | {f.var}
-    if isinstance(f, (Name, App, Rel, Eq)):
-        # terms bind nothing
-        return free_names(f)
-    return set().union(*(_names(getattr(f, n)) for n in f._fields))
+    names = {f.var} if isinstance(f, Binder) else set()
+    for field in f._fields:
+        value = getattr(f, field)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Formula):
+                names |= _names(child)
+    return names
 
 
 def rename_bound(f: Formula, old: str, new: str) -> Formula:
@@ -181,6 +167,10 @@ class PlausibleStructure:
     omega: PseudoTopology
 
     def __post_init__(self):
+        size = self.domain_size
+        if not _is_int(size) or size < 1:
+            raise ValueError(f"domain_size must be a positive integer, "
+                             f"got {size!r}")
         omega = self.omega
         if omega.universe_size != self.domain_size:
             raise ValueError("opens-family universe must match the domain")
@@ -309,59 +299,6 @@ def _json_rows(value, key: str) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # satisfaction over definable sets
 
-def _program(formulas: tuple[Formula, ...]) -> tuple[tuple, tuple[int, ...]]:
-    """The formulas as straight-line code over value slots, and the slot
-    of each.  Each instruction (node class, k, x, y) appends one value,
-    children first, where k is the length of the scope; x and y are the
-    child slots, or for ``Name`` the name (None when bound) and the digit
-    it reads (-1 when free), for ``App`` and ``Rel`` the symbol and the
-    argument slots.  Slots are keyed by the instruction itself, so a node
-    met again in any scope reuses the slot of an equal instruction: since a
-    bound name keeps only its digit, alpha-equivalent nodes such as
-    ``P x. R(x)`` and ``P y. R(y)`` share one slot."""
-    slots: dict[tuple, int] = {}
-    # (node, scope) -> slot, so a shared subformula is walked once
-    seen: dict[tuple, int] = {}
-    code: list[tuple] = []
-
-    def emit(g: Formula, scope: tuple[str, ...], term: bool = False) -> int:
-        slot = seen.get((g, scope))
-        if slot is not None:
-            return slot
-        if isinstance(g, (Name, App)) != term:
-            raise AssertionError(f"misplaced node {g!r}")
-        x = y = None
-        if isinstance(g, Name):
-            # the innermost binder of the name decides
-            y = max((j for j, v in enumerate(scope) if v == g.name),
-                    default=-1)
-            x = g.name if y < 0 else None
-        elif isinstance(g, (App, Rel)):
-            x = g.func if isinstance(g, App) else g.name
-            y = tuple(emit(a, scope, True) for a in g.args)
-        elif isinstance(g, Eq):
-            x, y = emit(g.left, scope, True), emit(g.right, scope, True)
-        elif isinstance(g, BINARY):
-            x, y = emit(g.left, scope), emit(g.right, scope)
-        elif isinstance(g, Not):
-            x = emit(g.child, scope)
-        elif isinstance(g, Binder):
-            # the bound variable is the most significant digit of the body
-            x = emit(g.body, (*scope, g.var))
-        elif not isinstance(g, (Top, Bottom)):
-            raise AssertionError(g)
-        instruction = (type(g), len(scope), x, y)
-        slot = slots.get(instruction)
-        if slot is None:
-            code.append(instruction)
-            slot = slots[instruction] = len(code) - 1
-        seen[g, scope] = slot
-        return slot
-
-    results = tuple(emit(f, ()) for f in formulas)
-    return tuple(code), results
-
-
 def _name(env: dict[str, int], constants: dict[str, int], name: str,
           size: int) -> list[int]:
     if name in env:
@@ -430,77 +367,101 @@ def _plausible(body: int, opens: frozenset[int], d: int, size: int) -> int:
                       for b in range(d)) in opens)
 
 
+# the text of a connective's value, from its operands' variables and the
+# mask of all assignments
+_CONNECTIVES = {Not: "{full} ^ {0}", And: "{0} & {1}", Or: "{0} | {1}",
+                Implies: "({full} ^ {0}) | {1}", Iff: "{full} ^ {0} ^ {1}"}
+
+# the most assignments a value may range over: a mask of at most 128 KiB,
+# a term's list of elements of at most 8 MiB
+_MAX_ASSIGNMENTS = 1 << 20
+
+
 @functools.lru_cache(maxsize=256)
 def _compiled(formulas: tuple[Formula, ...], d: int):
-    """The ``_program`` of the formulas as one Python function for domain
-    size d.  ``run(M, env)`` takes a structure M of that size and an
-    assignment env to free names, and returns the value of each formula's
-    slot.  Instruction i becomes one assignment to the local ``v<i>``, in
-    program order, so an error is raised where the program would reach
-    it.  Sizes, masks and chunk shifts are worked out here and written as
-    integers (masks in hex, which has no digit limit); names and digit
-    tuples enter as the globals ``k<j>``, so no text of a formula or a
-    structure reaches the source."""
-    code, results = _program(formulas)
-    consts: list = []
+    """The formulas as one Python function for domain size d.  ``run(M,
+    env)`` takes a structure M of that size and an assignment env to free
+    names, and returns the value of each formula.
+
+    ``emit`` walks each node once per scope and place (term or formula),
+    children first, so the run raises each error where it reaches it, and
+    returns the variable that holds the node's value.  A local ``v<i>`` is keyed by the text it
+    assigns, and each text names its size or takes it from its operands
+    (but ``0``, which is empty at every width), so equal texts are equal
+    values; each global ``k<j>`` is one distinct name or digit tuple.
+    Masks are written in hex, which has no digit limit.  A scope of more
+    than ``_MAX_ASSIGNMENTS`` assignments raises EvaluationError here,
+    before any value of that width is built."""
+    consts: dict = {}  # value -> its global
+    assigned: dict[str, str] = {}  # text -> its local, in program order
 
     def const(value) -> str:
-        consts.append(value)
-        return f"k{len(consts) - 1}"
+        return consts.setdefault(value, f"k{len(consts)}")
 
-    lines = ["def run(M, env):",
-             "    relations, functions = M.relations, M.functions",
-             "    constants, opens = M.constants, M.omega.opens"]
-    digits: dict[int, tuple] = {}  # slot of a bound name -> its digits
-    for i, (kind, k, x, y) in enumerate(code):
-        size = d ** k
+    def column(name: str, scope: tuple[str, ...]) -> tuple[int, ...]:
+        # digit j of each assignment, j the innermost binder of the name
+        j = len(scope) - 1 - scope[::-1].index(name)
+        return tuple(a // d ** j % d for a in range(d ** len(scope)))
+
+    @functools.cache  # a shared subformula is walked once
+    def emit(g: Formula, scope: tuple[str, ...], term: bool = False) -> str:
+        if isinstance(g, (Name, App)) != term:
+            raise AssertionError(f"misplaced node {g!r}")
+        size = d ** len(scope)
+        if size > _MAX_ASSIGNMENTS:
+            raise EvaluationError(
+                f"{len(scope)} nested binders on {d} points make {size} "
+                f"assignments, more than {_MAX_ASSIGNMENTS}")
+        if isinstance(g, Name) and g.name in scope:
+            return const(column(g.name, scope))
         full = f"{(1 << size) - 1:#x}"
-        if kind is Not:
-            value = f"{full} ^ v{x}"
-        elif kind is And:
-            value = f"v{x} & v{y}"
-        elif kind is Or:
-            value = f"v{x} | v{y}"
-        elif kind is Implies:
-            value = f"({full} ^ v{x}) | v{y}"
-        elif kind is Iff:
-            value = f"{full} ^ v{x} ^ v{y}"
-        elif kind is Name and y >= 0:
-            # digit y of each assignment
-            digits[i] = tuple(a // d ** y % d for a in range(size))
-            value = const(digits[i])
-        elif kind is Name:
-            value = f"_name(env, constants, {const(x)}, {size})"
-        elif kind is Rel and all(a in digits for a in y):
-            args = const(tuple(digits[a] for a in y))
-            value = f"_bound_relation(relations, {const(x)}, {size}, {args})"
-        elif kind in (Rel, App):
-            call = "_relation(relations" if kind is Rel \
-                else "_function(functions"
-            value = (f"{call}, {const(x)}, {size}"
-                     f"{''.join(f', v{a}' for a in y)})")
-        elif kind is Eq:
-            value = f"_equal(v{x}, v{y})"
-        elif kind is Plaus and k == 0:
-            value = f"int(v{x} in opens)"
-        elif kind is Plaus:
-            value = f"_plausible(v{x}, opens, {d}, {size})"
-        elif kind in (Forall, Exists):
+        if isinstance(g, Name):
+            value = f"_name(env, constants, {const(g.name)}, {size})"
+        elif isinstance(g, Rel) and all(isinstance(a, Name) and a.name in scope
+                                        for a in g.args):
+            args = const(tuple(column(a.name, scope) for a in g.args))
+            value = (f"_bound_relation(relations, {const(g.name)}, {size}, "
+                     f"{args})")
+        elif isinstance(g, (App, Rel)):
+            args = "".join(f", {emit(a, scope, True)}" for a in g.args)
+            value = (f"_function(functions, {const(g.func)}, {size}{args})"
+                     if isinstance(g, App) else
+                     f"_relation(relations, {const(g.name)}, {size}{args})")
+        elif isinstance(g, Eq):
+            value = (f"_equal({emit(g.left, scope, True)}, "
+                     f"{emit(g.right, scope, True)})")
+        elif isinstance(g, (Not, *BINARY)):
+            operands = (emit(getattr(g, field), scope) for field in g._fields)
+            value = _CONNECTIVES[type(g)].format(*operands, full=full)
+        elif isinstance(g, Binder):
+            # the bound variable is the most significant digit of the body
+            x = emit(g.body, (*scope, g.var))
             # chunk b holds the body where the bound variable is b
-            chunks = [f"v{x} >> {b * size}" if b else f"v{x}"
-                      for b in range(d)]
-            value = f"{' & '.join(chunks)} & {full}" if kind is Forall \
-                else f"({' | '.join(chunks)}) & {full}"
+            chunks = [f"{x} >> {b * size}" if b else x for b in range(d)]
+            if isinstance(g, Plaus):
+                value = (f"_plausible({x}, opens, {d}, {size})" if scope
+                         else f"int({x} in opens)")
+            elif isinstance(g, Forall):
+                value = f"{' & '.join(chunks)} & {full}"
+            else:
+                value = f"({' | '.join(chunks)}) & {full}"
+        elif isinstance(g, (Top, Bottom)):
+            value = full if isinstance(g, Top) else "0"
         else:
-            value = full if kind is Top else "0"
-        lines.append(f"    v{i} = {value}")
-    lines.append(f"    return ({''.join(f'v{slot}, ' for slot in results)})")
-    namespace = {"_name": _name, "_relation": _relation,
-                 "_bound_relation": _bound_relation,
-                 "_function": _function, "_equal": _equal,
-                 "_plausible": _plausible,
-                 **{f"k{j}": value for j, value in enumerate(consts)}}
-    exec(compile("\n".join(lines), "<folp program>", "exec"), namespace)
+            raise AssertionError(g)
+        return assigned.setdefault(value, f"v{len(assigned)}")
+
+    results = [emit(f, ()) for f in formulas]
+    source = "\n".join([
+        "def run(M, env):",
+        "    relations, functions = M.relations, M.functions",
+        "    constants, opens = M.constants, M.omega.opens",
+        *(f"    {local} = {value}" for value, local in assigned.items()),
+        f"    return ({''.join(f'{local}, ' for local in results)})"])
+    namespace = {helper.__name__: helper for helper in (
+        _name, _relation, _bound_relation, _function, _equal, _plausible)}
+    namespace.update((name, value) for value, name in consts.items())
+    exec(compile(source, "<folp program>", "exec"), namespace)
     return namespace["run"]
 
 
@@ -509,14 +470,23 @@ def satisfies(M: PlausibleStructure, f: Formula,
     """Tarskian satisfaction; the plausibility quantifier asks whether the
     definable set is open.
 
-    The program of ``(f,)``, compiled for M's domain size, runs once on M
-    (see the module docstring), and the sentence f's value is a 1-bit
-    mask.  Each atom is evaluated at all
-    d^k assignments of the k variables bound around it, in O(d^k) time,
-    and each node's d^k-bit mask, or a term's d^k elements, is kept until
-    the run ends.  So an unbound name or a wrong arity anywhere in f raises
-    EvaluationError, whichever operand would decide first."""
-    (value,) = _compiled((f,), M.domain_size)(M, assignment or {})
+    The function ``_compiled`` writes for ``(f,)`` and M's domain size
+    runs once on M (see the module docstring), and the sentence f's value
+    is a 1-bit mask.  Each atom is evaluated at all d^k assignments of the
+    k variables bound around it, in O(d^k) time, and each distinct value,
+    a d^k-bit mask or a term's d^k elements, is kept until the run ends.
+    So an unbound name or a wrong arity anywhere in f raises
+    EvaluationError, whichever operand would decide first.  So does an
+    assigned value that is not a point of M, as a structure's constants
+    must be."""
+    env = assignment or {}
+    for name, value in env.items():
+        if not _is_int(value):
+            raise EvaluationError(f"assignment to {name!r} must be an "
+                                  f"integer, got {value!r}")
+        if not 0 <= value < M.domain_size:
+            raise EvaluationError(f"assignment to {name!r} out of range")
+    (value,) = _compiled((f,), M.domain_size)(M, env)
     return bool(value)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -194,6 +195,24 @@ def test_fol_eval_rejects_malformed_models(tmp_path, capsys, doc, message):
     path.write_text(json.dumps(doc))
     assert run(["fol-eval", "true", "--model", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_fol_eval_rejects_overwide_scopes_before_allocating(tmp_path,
+                                                            capsys):
+    # seven binders on 32 points would make masks of 32^7 bits (4 GiB); the
+    # fifth one already passes the limit of 2^20 assignments
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"domain_size": 32, "omega": [2 ** 32 - 1]}))
+    text = "".join(f"forall x{i}. " for i in range(7)) + "true"
+    start = time.perf_counter()
+    assert run(["fol-eval", text, "--model", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "error: 5 nested binders on 32 points make 33554432 "
+            "assignments, more than 1048576\n")
+    # four binders stay within it
+    assert run(["fol-eval", text.replace("forall x4. forall x5. forall x6. ",
+                                         ""), "--model", str(path)]) == 0
 
 
 def test_unknown_command_is_input_error():

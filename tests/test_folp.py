@@ -1,3 +1,4 @@
+import dis
 import functools
 from dataclasses import astuple
 from typing import Optional
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from plausible.folp import (App, AxiomReport, Eq, EvaluationError, Exists,
                             Forall, Name, Plaus, PlausibleStructure, Rel,
-                            _instances, _program, check_axioms, free_names,
+                            _compiled, _instances, _names, check_axioms,
                             parse_fo, rename_bound, satisfies,
                             unary_structures)
 from plausible.formula import (BINARY, And, Binder, Bottom, Formula, Iff,
@@ -77,7 +78,7 @@ def test_constants_are_true_and_false(M):
     assert not satisfies(M, parse_fo("false"))
     assert satisfies(M, parse_fo("P x. true"))
     assert not satisfies(M, parse_fo("exists x. false"))
-    assert free_names(parse_fo("forall x. true -> R(x)")) == set()
+    assert _names(parse_fo("forall x. true -> R(x)")) == {"x"}
     assert rename_bound(parse_fo("false | R(y)"), "y", "z") is \
         parse_fo("false | R(z)")
     for text in ("true", "~false", "P x. R(x) & true"):
@@ -141,10 +142,15 @@ def test_first_order_formulas_are_interned():
     assert Rel("R", (Name("x"),)) is R_X
 
 
-def test_free_names_and_rename():
+def test_free_names_and_rename(M):
     f = parse_fo("forall x. Less(x, y)")
-    assert free_names(f) == {"y"}
-    assert free_names(App("s", (Name("x"), Name("c")))) == {"x", "c"}
+    # y is free, x is not: only y must be assigned
+    with pytest.raises(EvaluationError, match="^unbound name 'y'$"):
+        satisfies(M, f)
+    assert satisfies(M, f, {"y": 0}) is False
+    assert _names(f) == {"x", "y"}
+    assert _names(App("s", (Name("x"), Name("c")))) == {"x", "c"}
+    assert _names(parse_fo("P z. s(x) = c")) == {"x", "c", "z"}
     g = rename_bound(f.body, "y", "z")
     assert g == parse_fo("Less(x, z)")
     assert rename_bound(f, "x", "z") == f
@@ -195,8 +201,10 @@ def test_evaluation_errors_do_not_depend_on_evaluation_order(M, text,
 
 
 def test_terms_and_formulas_are_not_interchangeable(M):
+    # the last one meets x as a term before it meets it as a formula
     for f in (Name("x"), Not(App("s", (Name("x"),))),
-              Rel("R", (Top(),)), Eq(Name("x"), Bottom())):
+              Rel("R", (Top(),)), Eq(Name("x"), Bottom()),
+              And(Eq(Name("x"), Name("x")), Name("x"))):
         with pytest.raises(AssertionError, match="misplaced node"):
             satisfies(M, f, {"x": 0})
 
@@ -254,10 +262,12 @@ def test_ill_typed_entries_are_rejected(relations, functions, constants,
 
 
 def test_json_round_trip(M):
-    doc = M.to_json()
-    assert doc["omega"] == [4, 5, 6, 7]
-    assert PlausibleStructure.from_json(doc) == M
-    assert PlausibleStructure.from_json(doc).to_json() == doc
+    assert M.to_json()["omega"] == [4, 5, 6, 7]
+    # every structure that can be built reads back from its document
+    for N in (M, *unary_structures(2)):
+        doc = N.to_json()
+        assert PlausibleStructure.from_json(doc) == N
+        assert PlausibleStructure.from_json(doc).to_json() == doc
 
 
 def test_check_axioms_on_principal_structure():
@@ -310,14 +320,60 @@ def test_alphabetic_variant_invariance(M):
 
 
 def test_alpha_equivalent_nodes_share_a_slot():
-    code, results = _program((parse_fo("P x. R(x)"), parse_fo("P y. R(y)")))
-    kinds = [kind for kind, *_ in code]
-    assert kinds.count(Rel) == kinds.count(Plaus) == 1
-    assert results == (kinds.index(Plaus),) * 2
+    f, g = parse_fo("P x. R(x)"), parse_fo("P y. R(y)")
+    for d in range(1, MAX_UNIVERSE + 1):
+        # the variant adds no local: both formulas read one value
+        assert _compiled((f, g), d).__code__.co_varnames == \
+            _compiled((f,), d).__code__.co_varnames
     # a bound name keeps its digit: the inner x is not the outer one
     shadowed = parse_fo("forall x. (R(x) & exists x. S(x))")
     for M in unary_structures(3):
         assert satisfies(M, shadowed) == reference_satisfies(M, shadowed)
+
+
+@pytest.mark.parametrize("text", [
+    "(P x. R(x) & S(x)) -> forall x. R(x) | S(x)",
+    "forall x. exists y. L(x, y) & f(x) = y & (R(c) <-> x = c)",
+    "P x. exists x. R(x) & ~S & R(z) & true | false",
+])
+def test_every_stored_local_is_read(text):
+    # each local a run stores is loaded later, by an assignment or the
+    # return: the walk writes no dead copy of a value
+    phi, psi = parse_fo("R(x)"), parse_fo("S(x)")
+    for formulas in ((parse_fo(text),), _instances(phi, psi, "x")):
+        for d in range(1, MAX_UNIVERSE + 1):
+            code = _compiled(formulas, d).__code__
+            stored, loaded = set(), set()
+            for instruction in dis.get_instructions(code):
+                if instruction.opname == "STORE_FAST":
+                    stored.add(instruction.argval)
+                elif instruction.opname == "LOAD_FAST":
+                    loaded.add(instruction.argval)
+            locals_ = {name for name in stored if name.startswith("v")}
+            assert locals_ and locals_ <= loaded
+
+
+@pytest.mark.parametrize("value, message", [
+    (99, "assignment to 'x' out of range"),
+    (-1, "assignment to 'x' out of range"),
+    (2, "assignment to 'x' out of range"),
+    (True, "assignment to 'x' must be an integer, got True"),
+    (1.0, "assignment to 'x' must be an integer, got 1.0"),
+    ("a", "assignment to 'x' must be an integer, got 'a'"),
+])
+def test_assignments_must_be_points_of_the_domain(value, message):
+    M = structure(2, [1, 3], relations={"R": [(0,)]})
+    for text in ("x = x", "exists y. x = y", "R(c)"):
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
+            satisfies(M, parse_fo(text), {"x": value})
+    assert satisfies(M, parse_fo("exists y. x = y"), {"x": 1})
+
+
+@pytest.mark.parametrize("size", [True, False, 0, -1, 2.0, "2", None])
+def test_domain_size_must_be_a_positive_integer(size):
+    with pytest.raises(ValueError, match="^domain_size must be a positive "
+                                         f"integer, got {size!r}$"):
+        PlausibleStructure(size, {}, {}, {}, PseudoTopology(size, {1}))
 
 
 def test_relation_masks_keep_the_evaluation_contract():

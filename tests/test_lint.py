@@ -1,9 +1,11 @@
-"""No public helper of the package serves only the tests.
+"""No helper of the package serves only the tests, or nothing.
 
-Every public module-level function and class of ``src/plausible``, and
-every public method of a public class, must be named outside its own
-definition somewhere in ``src/``, ``scripts/`` or ``perfbench/`` (its
-tests excluded): read, imported or looked up as an attribute.
+Every public module-level function and class of ``src/plausible``, every
+public method of a public class and every private module-level function
+must be named outside its own definition somewhere in ``src/``,
+``scripts/`` or ``perfbench/`` (its tests excluded): read, imported or
+looked up as an attribute.  So a helper that a refactor leaves orphaned
+fails here.
 """
 
 import ast
@@ -35,12 +37,15 @@ def _public_definitions(module):
                         yield f"{node.name}.{item.name}", item
 
 
-def test_public_helpers_are_used_outside_the_tests():
+def _paths():
     bench = ROOT / "perfbench"
-    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py"),
-             *(path for path in bench.rglob("*.py")
-               if "tests" not in path.relative_to(bench).parts)]
-    trees = {path: ast.parse(path.read_text()) for path in paths}
+    return [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py"),
+            *(path for path in bench.rglob("*.py")
+              if "tests" not in path.relative_to(bench).parts)]
+
+
+def test_public_helpers_are_used_outside_the_tests():
+    trees = {path: ast.parse(path.read_text()) for path in _paths()}
     named = Counter(name for tree in trees.values() for name in _names(tree))
     unused = []
     for path in sorted((ROOT / "src" / "plausible").glob("*.py")):
@@ -48,4 +53,39 @@ def test_public_helpers_are_used_outside_the_tests():
             own = Counter(_names(node))[node.name]
             if named[node.name] == own:
                 unused.append(f"{path.stem}.{qualified}")
+    assert not unused, unused
+
+
+def _module_references(trees, path):
+    """How often each name is read as a name of the module at path: bare
+    in the module itself, or elsewhere as ``module.name`` or imported from
+    it.  So another module's function of the same name does not count."""
+    stem = path.stem
+    found = Counter(node.id for node in ast.walk(trees[path])
+                    if isinstance(node, ast.Name))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == stem:
+                found[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").rpartition(".")[2] == stem:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_private_functions_are_used_outside_the_tests():
+    trees = {path: ast.parse(path.read_text()) for path in _paths()}
+    unused = []
+    for path in sorted((ROOT / "src" / "plausible").glob("*.py")):
+        found = _module_references(trees, path)
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name.startswith("_"):
+                # a recursive call does not count
+                own = sum(isinstance(n, ast.Name) and n.id == node.name
+                          for n in ast.walk(node))
+                if found[node.name] == own:
+                    unused.append(f"{path.stem}.{node.name}")
     assert not unused, unused
