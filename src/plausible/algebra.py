@@ -180,20 +180,6 @@ def evaluate(f: Formula, alg: PlausibleAlgebra, valuation: Valuation) -> int:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _repeat(pattern: int, period: int, count: int) -> int:
-    """``count`` copies of a ``period``-bit pattern, end to end."""
-    out = shift = 0
-    while True:
-        if count & 1:
-            out |= pattern << shift
-            shift += period
-        count >>= 1
-        if not count:
-            return out
-        pattern |= pattern << period
-        period *= 2
-
-
 def _index_bit(bit: int, start: int, length: int) -> int:
     """Bit j, for j < length, set where ``start + j`` has ``bit`` set, for
     an aligned window: ``length`` a power of two dividing ``start``."""
@@ -207,8 +193,10 @@ def _index_bit(bit: int, start: int, length: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _periodic_bit(bit: int, length: int) -> int:
+    # a bit at the start of each period of 2 half bits, times the pattern
     half = 1 << bit
-    return _repeat(((1 << half) - 1) << half, 2 * half, length // (2 * half))
+    return ((1 << length) - 1) // ((1 << 2 * half) - 1) \
+        * (((1 << half) - 1) << half)
 
 
 @functools.lru_cache(maxsize=32)
@@ -243,7 +231,7 @@ def _block_masks(n: int, k: int, i0: int, length: int):
                    if successors[w] >> (w + d) % n & 1)
         if edge:
             steps.append((d * length, (n - d) * length, ~edge))
-    return digits, tuple(steps), _repeat((1 << length) - 1, length, n)
+    return digits, tuple(steps), (1 << n * length) - 1
 
 
 def _program(f: Formula, units: list[Formula]) -> tuple[list[tuple], int]:
@@ -257,20 +245,22 @@ def _program(f: Formula, units: list[Formula]) -> tuple[list[tuple], int]:
     slots[Top()] = len(units)
     slots[Bottom()] = len(units) + 1
     code: list[tuple] = []
+    return code, _emit(f, slots, code)
 
-    def emit(g: Formula) -> int:
-        slot = slots.get(g)
-        if slot is None:
-            if isinstance(g, UNARY):
-                code.append((type(g), emit(g.child), 0))
-            elif isinstance(g, BINARY):
-                code.append((type(g), emit(g.left), emit(g.right)))
-            else:
-                raise AssertionError(f"unevaluated node {g!r}")
-            slot = slots[g] = len(slots)
-        return slot
 
-    return code, emit(f)
+def _emit(g: Formula, slots: dict[Formula, int], code: list[tuple]) -> int:
+    # the slot of g, appending the instructions of its new subformulas
+    slot = slots.get(g)
+    if slot is None:
+        if isinstance(g, UNARY):
+            code.append((type(g), _emit(g.child, slots, code), 0))
+        elif isinstance(g, BINARY):
+            code.append((type(g), _emit(g.left, slots, code),
+                         _emit(g.right, slots, code)))
+        else:
+            raise AssertionError(f"unevaluated node {g!r}")
+        slot = slots[g] = len(slots)
+    return slot
 
 
 def _run(code: list[tuple], digits: tuple[int, ...], steps: tuple,

@@ -1,13 +1,17 @@
 """Command-line entry point.
 
 Exit codes: 0 proved / valid / accepted / true, 1 open / countermodel /
-rejected / false, 2 parse or input error, 3 node budget exceeded.
+rejected / false, 2 parse or input error, 3 node budget exceeded.  A
+standard output whose reader has gone (``plausible enum-spaces --size 4 |
+head``) is no error: the rest of the output is discarded, nothing is
+written to standard error, and the command exits with its own code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebra, folp, hilbert, pseudotopology, tableau
@@ -57,8 +61,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _print(text: str) -> None:
+    """Write one line of a command's output.  Once the reader of standard
+    output has gone, stdout is pointed at devnull, as the Python
+    documentation's note on SIGPIPE does, so that neither a later line nor
+    the flush at exit raises."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_parse(args) -> int:
-    print(render(parse(args.formula)))
+    _print(render(parse(args.formula)))
     return EXIT_OK
 
 
@@ -67,13 +82,13 @@ def _cmd_prove(args) -> int:
     goal = parse(args.formula)
     result = tableau.prove(premises, goal, budget=args.budget)
     if args.json:
-        print(tableau.result_to_json_text(result))
+        _print(tableau.result_to_json_text(result))
     else:
-        print(result.to_text())
-        print(f"verdict: {result.verdict}")
+        _print(result.to_text())
+        _print(f"verdict: {result.verdict}")
         if result.open_branch is not None:
             for f in result.open_branch:
-                print(f"  open: {render(f)}")
+                _print(f"  open: {render(f)}")
     return EXIT_OK if result.verdict == "closed" else EXIT_NEGATIVE
 
 
@@ -81,11 +96,11 @@ def _cmd_countermodel(args) -> int:
     f = parse(args.formula)
     hit = algebra.find_countermodel(f, max_atoms=args.max_atoms)
     if hit is None:
-        print(f"valid up to bound (max_atoms={args.max_atoms})")
+        _print(f"valid up to bound (max_atoms={args.max_atoms})")
         return EXIT_OK
     alg, valuation = hit
-    print(json.dumps(algebra.countermodel_to_json(alg, valuation),
-                     sort_keys=True))
+    _print(json.dumps(algebra.countermodel_to_json(alg, valuation),
+                      sort_keys=True))
     return EXIT_NEGATIVE
 
 
@@ -96,27 +111,27 @@ def _cmd_check_proof(args) -> int:
     result = hilbert.check_proof(lines, premises)
     if result.ok:
         kind = "theorem" if result.is_theorem else "derivation"
-        print(f"accepted: {kind} {render(result.proved)}")
+        _print(f"accepted: {kind} {render(result.proved)}")
         return EXIT_OK
-    print(f"rejected at line {result.line}: {result.reason}")
+    _print(f"rejected at line {result.line}: {result.reason}")
     return EXIT_NEGATIVE
 
 
 def _cmd_enum_spaces(args) -> int:
     count = 0
     for space in pseudotopology.enumerate_spaces(args.size):
-        print(json.dumps(space.to_json(), sort_keys=True))
+        _print(json.dumps(space.to_json(), sort_keys=True))
         count += 1
-    print(f"count: {count}")
+    _print(f"count: {count}")
     return EXIT_OK
 
 
 def _cmd_enum_algebras(args) -> int:
     count = 0
     for alg in algebra.enumerate_algebras(args.atoms):
-        print(json.dumps(alg.to_json(), sort_keys=True))
+        _print(json.dumps(alg.to_json(), sort_keys=True))
         count += 1
-    print(f"count: {count}")
+    _print(f"count: {count}")
     return EXIT_OK
 
 
@@ -126,7 +141,7 @@ def _cmd_fol_eval(args) -> int:
     structure = folp.PlausibleStructure.from_json(doc)
     f = folp.parse_fo(args.formula)
     value = folp.satisfies(structure, f)
-    print("true" if value else "false")
+    _print("true" if value else "false")
     return EXIT_OK if value else EXIT_NEGATIVE
 
 

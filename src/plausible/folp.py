@@ -27,7 +27,10 @@ gathered from the chunks is open.  Time is O(d^k) per atom, as for an
 interpreter that tries one assignment at a time, but where such an
 interpreter holds O(k) values, each value here holds d^k bits or
 elements, k the binder depth; a scope of more than 2^20 assignments
-raises ``EvaluationError`` before anything is run.
+raises ``EvaluationError`` before anything is run.  A program with a
+scope of more than 2^16 assignments, and the relation masks it builds, are
+not cached: such a program holds megabytes, and compiling it again costs
+about a tenth of its run.
 
 The walk goes children first and assigns each distinct value to one
 local, keyed by the text it assigns, with sizes, masks and chunk shifts
@@ -57,7 +60,7 @@ from typing import Iterator, Optional
 from . import formula, pseudotopology
 from .formula import (BINARY, And, Binder, Bottom, Formula, Iff, Implies,
                       Not, Or, Top, render)
-from .pseudotopology import PseudoTopology
+from .pseudotopology import PseudoTopology, _is_int
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +177,7 @@ class PlausibleStructure:
         omega = self.omega
         if omega.universe_size != self.domain_size:
             raise ValueError("opens-family universe must match the domain")
-        # a PseudoTopology's opens are already a frozenset
-        verdict = pseudotopology._validate(omega.universe_size, omega.opens)
+        verdict = pseudotopology.validate(omega)
         if not verdict.ok:
             raise ValueError(f"invalid opens-family: {verdict.axiom}")
         for name, table in self.relations.items():
@@ -277,10 +279,6 @@ def _table_fault(domain_size: int, table: frozenset,
     return None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _json_object(doc: dict, key: str) -> dict:
     value = doc.get(key, {})
     if not isinstance(value, dict):
@@ -376,6 +374,17 @@ _CONNECTIVES = {Not: "{full} ^ {0}", And: "{0} & {1}", Or: "{0} | {1}",
 # a term's list of elements of at most 8 MiB
 _MAX_ASSIGNMENTS = 1 << 20
 
+# the widest scope whose programs and relation masks are cached: a wider
+# program holds a digit column of over half a MiB per bound name, and
+# compiling it again costs about a tenth of its run
+_MAX_CACHED_ASSIGNMENTS = 1 << 16
+
+
+class _Wide(Exception):
+    """Carries a program wider than ``_MAX_CACHED_ASSIGNMENTS`` out of
+    ``_compiled``: an ``lru_cache`` keeps no call that raised, so no cache
+    on the way keeps the program."""
+
 
 @functools.lru_cache(maxsize=256)
 def _compiled(formulas: tuple[Formula, ...], d: int):
@@ -391,9 +400,12 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
     values; each global ``k<j>`` is one distinct name or digit tuple.
     Masks are written in hex, which has no digit limit.  A scope of more
     than ``_MAX_ASSIGNMENTS`` assignments raises EvaluationError here,
-    before any value of that width is built."""
+    before any value of that width is built.  A program with a scope of
+    more than ``_MAX_CACHED_ASSIGNMENTS`` is raised as ``_Wide(run)``
+    instead of returned."""
     consts: dict = {}  # value -> its global
     assigned: dict[str, str] = {}  # text -> its local, in program order
+    sizes = {1}  # of the scopes walked
 
     def const(value) -> str:
         return consts.setdefault(value, f"k{len(consts)}")
@@ -401,7 +413,10 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
     def column(name: str, scope: tuple[str, ...]) -> tuple[int, ...]:
         # digit j of each assignment, j the innermost binder of the name
         j = len(scope) - 1 - scope[::-1].index(name)
-        return tuple(a // d ** j % d for a in range(d ** len(scope)))
+        # each point d^j times running, that period repeated to the end
+        period = itertools.chain.from_iterable(
+            itertools.repeat(v, d ** j) for v in range(d))
+        return tuple(period) * d ** (len(scope) - 1 - j)
 
     @functools.cache  # a shared subformula is walked once
     def emit(g: Formula, scope: tuple[str, ...], term: bool = False) -> str:
@@ -412,13 +427,14 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
             raise EvaluationError(
                 f"{len(scope)} nested binders on {d} points make {size} "
                 f"assignments, more than {_MAX_ASSIGNMENTS}")
+        sizes.add(size)
         if isinstance(g, Name) and g.name in scope:
             return const(column(g.name, scope))
         full = f"{(1 << size) - 1:#x}"
         if isinstance(g, Name):
             value = f"_name(env, constants, {const(g.name)}, {size})"
-        elif isinstance(g, Rel) and all(isinstance(a, Name) and a.name in scope
-                                        for a in g.args):
+        elif isinstance(g, Rel) and size <= _MAX_CACHED_ASSIGNMENTS and all(
+                isinstance(a, Name) and a.name in scope for a in g.args):
             args = const(tuple(column(a.name, scope) for a in g.args))
             value = (f"_bound_relation(relations, {const(g.name)}, {size}, "
                      f"{args})")
@@ -451,7 +467,10 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
             raise AssertionError(g)
         return assigned.setdefault(value, f"v{len(assigned)}")
 
-    results = [emit(f, ()) for f in formulas]
+    try:
+        results = [emit(f, ()) for f in formulas]
+    finally:
+        del emit  # a recursive closure is a reference cycle
     source = "\n".join([
         "def run(M, env):",
         "    relations, functions = M.relations, M.functions",
@@ -462,7 +481,10 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
         _name, _relation, _bound_relation, _function, _equal, _plausible)}
     namespace.update((name, value) for value, name in consts.items())
     exec(compile(source, "<folp program>", "exec"), namespace)
-    return namespace["run"]
+    run = namespace.pop("run")  # its globals must not hold it
+    if max(sizes) > _MAX_CACHED_ASSIGNMENTS:
+        raise _Wide(run)
+    return run
 
 
 def satisfies(M: PlausibleStructure, f: Formula,
@@ -486,7 +508,11 @@ def satisfies(M: PlausibleStructure, f: Formula,
                                   f"integer, got {value!r}")
         if not 0 <= value < M.domain_size:
             raise EvaluationError(f"assignment to {name!r} out of range")
-    (value,) = _compiled((f,), M.domain_size)(M, env)
+    try:
+        run = _compiled((f,), M.domain_size)
+    except _Wide as wide:
+        run = wide.args[0]
+    (value,) = run(M, env)
     return bool(value)
 
 
@@ -518,7 +544,10 @@ def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,
     a5 is the monotonicity schema, not an axiom over pseudo-topologies:
     it fails exactly where the set phi defines is open and lies inside the
     set psi defines, which is not open (see ``AxiomReport``)."""
-    run = _axiom_program(phi, psi, x, M.domain_size)
+    try:
+        run = _axiom_program(phi, psi, x, M.domain_size)
+    except _Wide as wide:
+        run = wide.args[0]
     a1, a2, a3, a4, a5, plaus, variant = run(M, {})
     # a sentence's value is a 1-bit mask, 0 or 1
     return _REPORTS[a1 | a2 << 1 | a3 << 2 | a4 << 3 | a5 << 4

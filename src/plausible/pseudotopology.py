@@ -28,16 +28,20 @@ class PseudoTopology:
     opens: frozenset[int]
 
     def __post_init__(self):
+        size = self.universe_size
+        if not _is_int(size) or size < 1:
+            raise ValueError(f"universe_size must be a positive integer, "
+                             f"got {size!r}")
         # a plain set would make the space unhashable
         if type(self.opens) is not frozenset:
             object.__setattr__(self, "opens", frozenset(self.opens))
 
-    @property
-    def full(self) -> int:
-        return (1 << self.universe_size) - 1
-
     def to_json(self) -> dict:
         return {"universe_size": self.universe_size, "opens": sorted(self.opens)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -129,18 +129,17 @@ class ProveResult:
 
     def to_text(self) -> str:
         lines: list[str] = []
-
-        def walk(node: Node, indent: int):
+        stack = [(self.tree, 0)]  # the first child pops first
+        while stack:
+            node, indent = stack.pop()
             pad = "  " * indent
             label = render(node.formula) if node.formula else "-"
             lines.append(f"{pad}{label}  [{node.rule}]")
             if not node.children:
                 lines.append(f"{pad}{'x' if node.closed else 'o'}")
             branch_indent = indent + (1 if len(node.children) > 1 else 0)
-            for child in node.children:
-                walk(child, branch_indent)
-
-        walk(self.tree, 0)
+            stack += ((child, branch_indent)
+                      for child in reversed(node.children))
         return "\n".join(lines)
 
     def __str__(self):

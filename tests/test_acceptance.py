@@ -184,7 +184,7 @@ def _brute_force_space_count(size):
 def _interior(space):
     """The interior map of a space: #a is the union of the opens inside a."""
     table = []
-    for a in range(space.full + 1):
+    for a in range(1 << space.universe_size):
         inside = 0
         for o in space.opens:
             if o & ~a == 0:
@@ -197,7 +197,7 @@ def _preorder(space):
     """successors[w]: the intersection of the opens containing w."""
     successors = []
     for w in range(space.universe_size):
-        smallest = space.full
+        smallest = (1 << space.universe_size) - 1
         for o in space.opens:
             if o >> w & 1:
                 smallest &= o
@@ -244,7 +244,7 @@ def test_criterion_8_pseudotopology_suite():
             if interior != from_frame(size, _preorder(space)):
                 problems.append(("interior is not the preorder's", space))
             for f in GAP_COUNTERMODELS:
-                for p in range(space.full + 1):
+                for p in range(1 << space.universe_size):
                     if evaluate(f, interior, {"p": p}) != interior.top:
                         problems.append((render(f), space, p))
     if checked != 165:

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -39,6 +43,30 @@ def test_prove_closed_and_open(capsys):
     out = capsys.readouterr().out
     assert "verdict: open" in out
     assert "open: ~#q" in out or "open:" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["prove", "#p -> p"], 0),
+    (["prove", "#p -> #q"], 1),
+    (["enum-spaces", "--size", "4"], 0),
+    (["parse", "p &"], 2),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # a pipe whose read end is closed before the command writes, as after
+    # `plausible ... | head` once head has exited
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "plausible.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write)
+    assert done.returncode == code
+    # only an input error writes to standard error
+    assert (done.stderr == b"") == (code != 2), done.stderr
 
 
 def test_prove_with_premises(capsys):

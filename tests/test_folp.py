@@ -1,5 +1,6 @@
 import dis
 import functools
+import tracemalloc
 from dataclasses import astuple
 from typing import Optional
 
@@ -373,7 +374,7 @@ def test_assignments_must_be_points_of_the_domain(value, message):
 def test_domain_size_must_be_a_positive_integer(size):
     with pytest.raises(ValueError, match="^domain_size must be a positive "
                                          f"integer, got {size!r}$"):
-        PlausibleStructure(size, {}, {}, {}, PseudoTopology(size, {1}))
+        PlausibleStructure(size, {}, {}, {}, PseudoTopology(1, {1}))
 
 
 def test_relation_masks_keep_the_evaluation_contract():
@@ -435,6 +436,25 @@ def test_masks_wider_than_the_decimal_digit_limit():
     M = structure(4, [15], relations={"R": [(1,)]})
     assert satisfies(M, forall_seven(Or(r0, Not(r0))))
     assert not satisfies(M, forall_seven(Or(r0, r6)))
+
+
+def test_wide_programs_are_not_kept():
+    # four binders on 24 points: 331776 assignments, past the widest scope
+    # the caches keep; each program builds two digit columns of 2.5 MiB,
+    # and its relation mask would key them again
+    M = structure(24, [(1 << 24) - 1], relations={"R": [(0, 1), (2, 3)]})
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j][:8]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, j in pairs:
+            r = Rel("R", (Name(f"x{i}"), Name(f"x{j}")))
+            assert satisfies(M, functools.reduce(
+                lambda g, k: Forall(f"x{k}", g), range(4), Or(Not(r), r)))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -281,16 +281,74 @@ def test_deep_formula_hashes_without_recursion():
 
 
 def test_intern_table_drops_dead_formulas():
+    # the bare table: without the ring of recent nodes, a node lives
+    # exactly while it is referenced
+    formula._RECENT.clear()
     gc.collect()
     before = len(formula._INTERN)
     fs = [Nabla(And(Atom(f"x{i}"), q)) for i in range(1000)]
     assert len(formula._INTERN) >= before + 3000
     del fs
+    formula._RECENT.clear()
     gc.collect()
-    assert len(formula._INTERN) <= before
+    assert len(formula._INTERN) == before
+
+
+def test_intern_table_keeps_the_last_nodes_built():
+    formula._RECENT.clear()
+    gc.collect()
+    before = len(formula._INTERN)
+    key = (Atom, "recent")
+    Atom("recent")
+    assert formula._INTERN[key]() is not None  # unreferenced, yet kept
+    kept = formula._RECENT.maxlen
+    for i in range(kept):  # with no gc.collect(): eviction frees at once
+        Atom(f"later{i}")
+        assert (key in formula._INTERN) == (i < kept - 1)
+    assert len(formula._INTERN) == before + kept
+    formula._RECENT.clear()
+    assert len(formula._INTERN) == before
+
+
+def _calls():
+    from plausible import algebra, folp, pseudotopology, tableau
+    f = parse("#(p & q) -> #p | ~r")
+    result = tableau.prove([], f)
+    space = pseudotopology.PseudoTopology(2, {1, 3})
+    M = folp.PlausibleStructure(2, {"R": {(0,)}, "S": {(1,)}}, {}, {}, space)
+    phi, psi = folp.parse_fo("R(x)"), folp.parse_fo("S(x)")
+    g = folp.parse_fo("forall x. P y. R(x) | S(y)")
+    return {
+        "parse": lambda: parse("#(p & q) -> #p | ~r"),
+        "render": lambda: render(f),
+        "prove": lambda: tableau.prove([], f),
+        "to_text": result.to_text,
+        "find_countermodel": lambda: algebra.find_countermodel(f),
+        "is_classical_tautology": lambda: is_classical_tautology(f),
+        "pseudo_atoms": lambda: formula.pseudo_atoms(f),
+        "satisfies": lambda: folp.satisfies(M, g),
+        # past the cache: a program compiled afresh
+        "_compiled": lambda: folp._compiled.__wrapped__((g, phi), 2),
+        "check_axioms": lambda: folp.check_axioms(M, phi, psi, "x"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_calls()))
+def test_calls_leave_no_reference_cycles(name):
+    # so a node dies when its last reference goes, not at a collection
+    call = _calls()[name]
+    call()  # warm: caches filled on the first call are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_threads_never_build_twin_nodes():
+    formula._RECENT.clear()
     gc.collect()
     before = len(formula._INTERN)
     barrier = threading.Barrier(4, timeout=30)
@@ -316,6 +374,7 @@ def test_threads_never_build_twin_nodes():
     assert all(f is g for fs in built[1:] for f, g in zip(fs, built[0]))
     assert len(formula._INTERN) == before + 2000
     del built
+    formula._RECENT.clear()
     gc.collect()
     assert len(formula._INTERN) == before
 

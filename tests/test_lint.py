@@ -1,11 +1,12 @@
 """No helper of the package serves only the tests, or nothing.
 
-Every public module-level function and class of ``src/plausible``, every
-public method of a public class and every private module-level function
-must be named outside its own definition somewhere in ``src/``,
-``scripts/`` or ``perfbench/`` (its tests excluded): read, imported or
-looked up as an attribute.  So a helper that a refactor leaves orphaned
-fails here.
+Every public module-level function and class of ``src/plausible`` and
+every private module-level function must be named outside its own
+definition somewhere in ``src/``, ``scripts/`` or ``perfbench/`` (its tests
+excluded): read, imported or looked up as an attribute.  Every public
+method or property of a public class must be looked up as an attribute
+there: a bare name of the same spelling, such as a local variable, does
+not count.  So a helper that a refactor leaves orphaned fails here.
 """
 
 import ast
@@ -23,6 +24,12 @@ def _names(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2]
+
+
+def _attributes(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
 
 
 def _public_definitions(module):
@@ -47,11 +54,15 @@ def _paths():
 def test_public_helpers_are_used_outside_the_tests():
     trees = {path: ast.parse(path.read_text()) for path in _paths()}
     named = Counter(name for tree in trees.values() for name in _names(tree))
+    read = Counter(name for tree in trees.values()
+                   for name in _attributes(tree))
     unused = []
     for path in sorted((ROOT / "src" / "plausible").glob("*.py")):
         for qualified, node in _public_definitions(trees[path]):
-            own = Counter(_names(node))[node.name]
-            if named[node.name] == own:
+            # a method or property is used only when read as an attribute
+            uses = _attributes if "." in qualified else _names
+            found = read if "." in qualified else named
+            if found[node.name] == Counter(uses(node))[node.name]:
                 unused.append(f"{path.stem}.{qualified}")
     assert not unused, unused
 

@@ -59,6 +59,13 @@ def test_a_set_of_opens_becomes_a_frozenset():
     assert len({from_set, from_frozenset}) == 1
 
 
+@pytest.mark.parametrize("size", [True, 0, -1, "2", None])
+def test_universe_size_must_be_a_positive_integer(size):
+    with pytest.raises(ValueError, match="^universe_size must be a positive "
+                                         f"integer, got {size!r}$"):
+        PseudoTopology(size, {1})
+
+
 def test_validate_catches_missing_union():
     # intersections fine, union 7 of 3 and 5 missing
     v = validate(space(3, [1, 3, 5, 7]))
