@@ -16,35 +16,36 @@ Formulas are evaluated as definable sets.  ``_compiled`` walks a tuple of
 formulas once and writes the source of one Python function per (formulas,
 domain size), compiled once and cached, so a sweep of one sentence over
 thousands of structures pays no per-node dispatch.  Each node is read in
-its scope, the variables bound around it, innermost last.  On a domain of
-size d, assignment i of a scope of k variables gives ``scope[j]`` digit j
-of i in base d.  A term's value lists its element at each of the d^k
-assignments and a formula's value is the d^k-bit mask of those where it
-holds.  A binder's variable is the most significant digit of its body, so
-the body's mask is d chunks of d^k bits: ``forall`` ANDs them, ``exists``
-ORs them and ``P`` asks, at each assignment, whether the d-bit set
-gathered from the chunks is open.  Time is O(d^k) per atom, as for an
+its scope, the variables bound around it, innermost first.  On a domain
+of size d, assignment i of a scope of k variables gives ``scope[j]``
+digit k - 1 - j of i in base d.  A term's value lists its element at each
+of the d^k assignments and a formula's value is the d^k-bit mask of those
+where it holds.  A binder's variable is the most significant digit of its
+body, so the body's mask is d chunks of d^k bits: ``forall`` ANDs them,
+``exists`` ORs them and ``P`` asks, at each assignment, whether the d-bit
+set gathered from the chunks is open.  Time is O(d^k) per atom, as for an
 interpreter that tries one assignment at a time, but where such an
 interpreter holds O(k) values, each value here holds d^k bits or
 elements, k the binder depth; a scope of more than 2^20 assignments
-raises ``EvaluationError`` before anything is run.  A program with a
-scope of more than 2^16 assignments, and the relation masks it builds, are
-not cached: such a program holds megabytes, and compiling it again costs
-about a tenth of its run.
+raises ``EvaluationError`` before anything is run.  A program holds only
+its text, names and small integers, so every program is cached whatever
+its width, and the values it builds live only while it runs.
 
 The walk goes children first and assigns each distinct value to one
-local, keyed by the text it assigns, with sizes, masks and chunk shifts
-written in as integers.  Names and digit tuples enter as globals of the
-function, never as source text.  A bound name reads as the global of its
-digit column, so alpha-equivalent nodes, such as ``P x. R(x)`` and
-``P y. R(y)``, assign the same text and share one local.  Connectives,
-``forall``, ``exists`` and ``P`` on a sentence are inline bit operations;
-atoms, free names and ``P`` under a binder call small helpers that raise
-``EvaluationError`` where the run reaches them.  A relation whose
-arguments are all bound names has a mask that depends on its table alone,
-so it is memoised per table (a wrong arity as its message, raised on each
-call).  Building a structure checks each relation table once per (domain
-size, table), as ``pseudotopology`` checks each opens-family once, so
+local, keyed by the text it assigns, with sizes, digit positions and
+chunk shifts written in as integers and the mask of all assignments as
+``((1 << size) - 1)``.  Names enter as globals of the function, never as
+source text.  A bound name reads as ``_column`` of its digit position, so
+alpha-equivalent nodes, such as ``P x. R(x)`` and ``P y. R(y)``, assign
+the same text and share one local.  Connectives, ``forall``, ``exists``
+and ``P`` on a sentence are inline bit operations; atoms, free names and
+``P`` under a binder call small helpers that raise ``EvaluationError``
+where the run reaches them.  A relation whose arguments are all bound
+names has a mask that depends on its table alone, so it is memoised per
+table (a wrong arity as its message, raised on each call).  That memo
+alone is gated by width: it skips scopes of more than 2^16 assignments.
+Building a structure checks each relation table once per (domain size,
+table), as ``pseudotopology`` checks each opens-family once, so
 structures that share tables share the check.  ``check_axioms`` returns
 one shared ``AxiomReport`` per tuple of verdicts.
 """
@@ -131,27 +132,19 @@ def _names(f: Formula) -> set[str]:
 
 def rename_bound(f: Formula, old: str, new: str) -> Formula:
     """Replace free occurrences of a name (used for alphabetic variants)."""
-    def term(t: Formula) -> Formula:
-        if isinstance(t, Name):
-            return Name(new) if t.name == old else t
-        return App(t.func, tuple(term(a) for a in t.args))
-
-    if isinstance(f, Rel):
-        return Rel(f.name, tuple(term(a) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(term(f.left), term(f.right))
-    if isinstance(f, (Top, Bottom)):
+    if isinstance(f, Name):
+        return Name(new) if f.name == old else f
+    if isinstance(f, Binder) and f.var == old:
         return f
-    if isinstance(f, Not):
-        return Not(rename_bound(f.child, old, new))
-    if isinstance(f, BINARY):
-        return type(f)(rename_bound(f.left, old, new),
-                       rename_bound(f.right, old, new))
-    if isinstance(f, Binder):
-        if f.var == old:
-            return f
-        return type(f)(f.var, rename_bound(f.body, old, new))
-    raise AssertionError(f)
+    fields = []
+    for field in f._fields:
+        value = getattr(f, field)
+        if isinstance(value, tuple):
+            value = tuple(rename_bound(a, old, new) for a in value)
+        elif isinstance(value, Formula):
+            value = rename_bound(value, old, new)
+        fields.append(value)
+    return type(f)(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -319,29 +312,39 @@ def _relation(relations: dict, name: str, size: int, *args) -> int:
     return mask
 
 
-def _bound_relation(relations: dict, name: str, size: int,
-                    args: tuple) -> int:
+def _bound_relation(relations: dict, name: str, d: int, k: int,
+                    digits: tuple[int, ...]) -> int:
     """``_relation`` where every argument is a bound name, given by its
-    digit tuple: the mask then depends only on the table, so it comes from
-    ``_relation_mask``, memoised per table."""
+    digit position in a scope of k names: the mask then depends only on
+    the table, so it comes from ``_relation_mask``, memoised per table."""
     table = relations.get(name)
     if not table:
         return 0
-    mask = _relation_mask(frozenset(table), name, size, args)
+    mask = _relation_mask(frozenset(table), name, d, k, digits)
     if type(mask) is str:
         raise EvaluationError(mask)
     return mask
 
 
 @functools.lru_cache(maxsize=1024)
-def _relation_mask(table: frozenset, name: str, size: int,
-                   args: tuple) -> int | str:
+def _relation_mask(table: frozenset, name: str, d: int, k: int,
+                   digits: tuple[int, ...]) -> int | str:
     # a wrong arity is cached as its message, not as an error, so it is
     # raised on every call
     try:
-        return _relation({name: table}, name, size, *args)
+        return _relation({name: table}, name, d ** k,
+                         *(_column(d, k, j) for j in digits))
     except EvaluationError as error:
         return str(error)
+
+
+def _column(d: int, k: int, j: int) -> tuple[int, ...]:
+    """The value of name j of a scope of k names, innermost first, at each
+    of the d^k assignments: digit k - 1 - j in base d, so each point
+    d^(k-1-j) times running, that period repeated d^j times."""
+    period = itertools.chain.from_iterable(
+        itertools.repeat(v, d ** (k - 1 - j)) for v in range(d))
+    return tuple(period) * d ** j
 
 
 def _function(functions: dict, name: str, size: int, *args) -> list[int]:
@@ -374,16 +377,9 @@ _CONNECTIVES = {Not: "{full} ^ {0}", And: "{0} & {1}", Or: "{0} | {1}",
 # a term's list of elements of at most 8 MiB
 _MAX_ASSIGNMENTS = 1 << 20
 
-# the widest scope whose programs and relation masks are cached: a wider
-# program holds a digit column of over half a MiB per bound name, and
-# compiling it again costs about a tenth of its run
+# the widest scope whose relation masks are memoised: a mask of at most
+# 8 KiB, built from digit columns of at most half a MiB
 _MAX_CACHED_ASSIGNMENTS = 1 << 16
-
-
-class _Wide(Exception):
-    """Carries a program wider than ``_MAX_CACHED_ASSIGNMENTS`` out of
-    ``_compiled``: an ``lru_cache`` keeps no call that raised, so no cache
-    on the way keeps the program."""
 
 
 @functools.lru_cache(maxsize=256)
@@ -394,29 +390,21 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
 
     ``emit`` walks each node once per scope and place (term or formula),
     children first, so the run raises each error where it reaches it, and
-    returns the variable that holds the node's value.  A local ``v<i>`` is keyed by the text it
-    assigns, and each text names its size or takes it from its operands
-    (but ``0``, which is empty at every width), so equal texts are equal
-    values; each global ``k<j>`` is one distinct name or digit tuple.
-    Masks are written in hex, which has no digit limit.  A scope of more
-    than ``_MAX_ASSIGNMENTS`` assignments raises EvaluationError here,
-    before any value of that width is built.  A program with a scope of
-    more than ``_MAX_CACHED_ASSIGNMENTS`` is raised as ``_Wide(run)``
-    instead of returned."""
-    consts: dict = {}  # value -> its global
+    returns the variable that holds the node's value.  A local ``v<i>`` is
+    keyed by the text it assigns, and each text names its size or takes
+    it from its operands (but ``0``, which is empty at every width), so
+    equal texts are equal values; each global ``k<j>`` is one distinct
+    name.  So a program holds only text, names and small integers, and
+    every program is cached: digit columns (``_column``) and masks wider
+    than 128 bits (``((1 << size) - 1)``) are built as it runs.  The
+    relation memo alone is gated by width (``_MAX_CACHED_ASSIGNMENTS``).
+    A scope of more than ``_MAX_ASSIGNMENTS`` assignments raises
+    EvaluationError here, before any value of that width is built."""
+    consts: dict[str, str] = {}  # name -> its global
     assigned: dict[str, str] = {}  # text -> its local, in program order
-    sizes = {1}  # of the scopes walked
 
     def const(value) -> str:
         return consts.setdefault(value, f"k{len(consts)}")
-
-    def column(name: str, scope: tuple[str, ...]) -> tuple[int, ...]:
-        # digit j of each assignment, j the innermost binder of the name
-        j = len(scope) - 1 - scope[::-1].index(name)
-        # each point d^j times running, that period repeated to the end
-        period = itertools.chain.from_iterable(
-            itertools.repeat(v, d ** j) for v in range(d))
-        return tuple(period) * d ** (len(scope) - 1 - j)
 
     @functools.cache  # a shared subformula is walked once
     def emit(g: Formula, scope: tuple[str, ...], term: bool = False) -> str:
@@ -427,17 +415,16 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
             raise EvaluationError(
                 f"{len(scope)} nested binders on {d} points make {size} "
                 f"assignments, more than {_MAX_ASSIGNMENTS}")
-        sizes.add(size)
+        full = f"((1 << {size}) - 1)"
         if isinstance(g, Name) and g.name in scope:
-            return const(column(g.name, scope))
-        full = f"{(1 << size) - 1:#x}"
-        if isinstance(g, Name):
+            value = f"_column({d}, {len(scope)}, {scope.index(g.name)})"
+        elif isinstance(g, Name):
             value = f"_name(env, constants, {const(g.name)}, {size})"
         elif isinstance(g, Rel) and size <= _MAX_CACHED_ASSIGNMENTS and all(
                 isinstance(a, Name) and a.name in scope for a in g.args):
-            args = const(tuple(column(a.name, scope) for a in g.args))
-            value = (f"_bound_relation(relations, {const(g.name)}, {size}, "
-                     f"{args})")
+            digits = tuple(scope.index(a.name) for a in g.args)
+            value = (f"_bound_relation(relations, {const(g.name)}, {d}, "
+                     f"{len(scope)}, {digits})")
         elif isinstance(g, (App, Rel)):
             args = "".join(f", {emit(a, scope, True)}" for a in g.args)
             value = (f"_function(functions, {const(g.func)}, {size}{args})"
@@ -451,7 +438,7 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
             value = _CONNECTIVES[type(g)].format(*operands, full=full)
         elif isinstance(g, Binder):
             # the bound variable is the most significant digit of the body
-            x = emit(g.body, (*scope, g.var))
+            x = emit(g.body, (g.var, *scope))
             # chunk b holds the body where the bound variable is b
             chunks = [f"{x} >> {b * size}" if b else x for b in range(d)]
             if isinstance(g, Plaus):
@@ -478,13 +465,11 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
         *(f"    {local} = {value}" for value, local in assigned.items()),
         f"    return ({''.join(f'{local}, ' for local in results)})"])
     namespace = {helper.__name__: helper for helper in (
-        _name, _relation, _bound_relation, _function, _equal, _plausible)}
+        _name, _column, _relation, _bound_relation, _function, _equal,
+        _plausible)}
     namespace.update((name, value) for value, name in consts.items())
     exec(compile(source, "<folp program>", "exec"), namespace)
-    run = namespace.pop("run")  # its globals must not hold it
-    if max(sizes) > _MAX_CACHED_ASSIGNMENTS:
-        raise _Wide(run)
-    return run
+    return namespace.pop("run")  # its globals must not hold it
 
 
 def satisfies(M: PlausibleStructure, f: Formula,
@@ -508,11 +493,7 @@ def satisfies(M: PlausibleStructure, f: Formula,
                                   f"integer, got {value!r}")
         if not 0 <= value < M.domain_size:
             raise EvaluationError(f"assignment to {name!r} out of range")
-    try:
-        run = _compiled((f,), M.domain_size)
-    except _Wide as wide:
-        run = wide.args[0]
-    (value,) = run(M, env)
+    (value,) = _compiled((f,), M.domain_size)(M, env)
     return bool(value)
 
 
@@ -544,11 +525,8 @@ def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,
     a5 is the monotonicity schema, not an axiom over pseudo-topologies:
     it fails exactly where the set phi defines is open and lies inside the
     set psi defines, which is not open (see ``AxiomReport``)."""
-    try:
-        run = _axiom_program(phi, psi, x, M.domain_size)
-    except _Wide as wide:
-        run = wide.args[0]
-    a1, a2, a3, a4, a5, plaus, variant = run(M, {})
+    a1, a2, a3, a4, a5, plaus, variant = _axiom_program(
+        phi, psi, x, M.domain_size)(M, {})
     # a sentence's value is a 1-bit mask, 0 or 1
     return _REPORTS[a1 | a2 << 1 | a3 << 2 | a4 << 3 | a5 << 4
                     | (plaus == variant) << 5]

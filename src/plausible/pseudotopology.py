@@ -58,16 +58,22 @@ def validate(space: PseudoTopology) -> Verdict:
     """E1: closed under pairwise intersection; E2: closed under pairwise
     union; E3: the universe is open; E4: the empty set is not.  The
     verdict is memoised per family: a sweep builds thousands of
-    structures on a few hundred families.  An open out of range raises
-    ValueError on every call."""
+    structures on a few hundred families.  An open that is not an integer
+    or out of range raises ValueError on every call."""
     # a space's opens are a frozenset already (see PseudoTopology)
-    return _validate(space.universe_size, space.opens)
+    return _validate(space.universe_size, space.opens, id(space.opens))
 
 
 @functools.lru_cache(maxsize=256)
-def _validate(universe_size: int, members: frozenset[int]) -> Verdict:
+def _validate(universe_size: int, members: frozenset[int],
+              identity: int) -> Verdict:
+    # identity is id(members): {True, 3} equals {1, 3}, so equality alone
+    # would let one pass as the other.  An entry holds its family, so no
+    # other family takes that id while the entry lives.
     full = (1 << universe_size) - 1
     for a in members:
+        if not _is_int(a):
+            raise ValueError(f"open {a!r} must be an integer")
         if a & ~full:
             raise ValueError(f"open {a} out of range for universe of "
                              f"size {universe_size}")

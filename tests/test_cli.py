@@ -217,7 +217,12 @@ def test_fol_eval_unbound_name_is_input_error_in_either_order(
     ([1, 2], "model must be a JSON object, got list"),
     ({"domain_size": 1, "omega": [1], "relations": {"R": 3}},
      "'relations.R' must be a list of lists of integers"),
-], ids=["domain-size-text", "top-level-list", "relation-not-a-list"])
+    ({"domain_size": 1, "omega": [1], "functions": {"f": [[]]}},
+     "'functions.f' rows must end in the value"),
+    ({"domain_size": 1, "omega": [1], "constants": {"c": 0.0}},
+     "'constants.c' must be an integer, got 0.0"),
+], ids=["domain-size-text", "top-level-list", "relation-not-a-list",
+        "function-row-without-value", "constant-not-an-integer"])
 def test_fol_eval_rejects_malformed_models(tmp_path, capsys, doc, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))

@@ -7,6 +7,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plausible import folp
 from plausible.folp import (App, AxiomReport, Eq, EvaluationError, Exists,
                             Forall, Name, Plaus, PlausibleStructure, Rel,
                             _compiled, _instances, _names, check_axioms,
@@ -155,6 +156,10 @@ def test_free_names_and_rename(M):
     g = rename_bound(f.body, "y", "z")
     assert g == parse_fo("Less(x, z)")
     assert rename_bound(f, "x", "z") == f
+    # a term inside an equation under a binder, and a name that is absent
+    h = parse_fo("exists x. s(y, x) = y")
+    assert rename_bound(h, "y", "z") is parse_fo("exists x. s(z, x) = z")
+    assert rename_bound(f, "q", "z") is f
 
 
 def test_satisfies_basics(M):
@@ -250,6 +255,9 @@ def test_relation_tables_are_checked_on_every_construction():
     ({}, {"g": {(0.0,): 1, (1,): 0}}, {}, "function g graph"),
     ({}, {}, {"c": "x"}, "constant c must be an integer"),
     ({}, {}, {"k": True}, "constant k must be an integer"),
+    ({}, {"f": {(0,): 1, (0, 1): 0}}, {}, "function f graph must be total "
+                                          "and of one arity"),
+    ({}, {"f": {(0,): 2, (1,): 0}}, {}, "function f value out of range"),
 ])
 def test_ill_typed_entries_are_rejected(relations, functions, constants,
                                         message):
@@ -438,19 +446,65 @@ def test_masks_wider_than_the_decimal_digit_limit():
     assert not satisfies(M, forall_seven(Or(r0, r6)))
 
 
-def test_wide_programs_are_not_kept():
+def _four_binders(i, j):
+    # forall x0..x3. ~R(xi, xj) | R(xi, xj): a tautology over d^4
+    # assignments whose relation reads two digit columns
+    r = Rel("R", (Name(f"x{i}"), Name(f"x{j}")))
+    return functools.reduce(lambda g, k: Forall(f"x{k}", g), range(4),
+                            Or(Not(r), r))
+
+
+def test_programs_hold_only_text_names_and_small_integers():
+    # on 32 points four binders make 2^20 assignments: the program keeps
+    # no digit column and no mask of that width, only helpers, names and
+    # integers the compiler folds (at most 128 bits)
+    for d in (16, 32):
+        run = _compiled((_four_binders(0, 1),), d)
+        for name, value in run.__globals__.items():
+            if name != "__builtins__":
+                assert isinstance(value, str) \
+                    or value is getattr(folp, name, None), name
+        consts = [*run.__code__.co_consts]
+        for const in consts:
+            if isinstance(const, tuple):
+                consts.extend(const)
+            elif isinstance(const, int):
+                assert const.bit_length() <= 128, d
+
+
+def test_cached_programs_retain_little():
+    # twelve four-binder sentences on 16 points (65536 assignments each)
+    # leave their programs cached and their relation masks memoised, and
+    # hold less than 1 MiB
+    M = structure(16, [(1 << 16) - 1], relations={"R": [(0, 1), (2, 3)]})
+    sentences = [_four_binders(i, j) for i in range(4) for j in range(4)
+                 if i != j]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for f in sentences:
+            assert satisfies(M, f)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+    misses = _compiled.cache_info().misses
+    for f in sentences:
+        _compiled((f,), 16)
+    assert _compiled.cache_info().misses == misses
+
+
+def test_wide_programs_are_kept_small():
     # four binders on 24 points: 331776 assignments, past the widest scope
-    # the caches keep; each program builds two digit columns of 2.5 MiB,
-    # and its relation mask would key them again
+    # the relation memo keeps; the programs are cached, and each builds its
+    # two digit columns of 2.5 MiB as it runs and drops them when it ends
     M = structure(24, [(1 << 24) - 1], relations={"R": [(0, 1), (2, 3)]})
     pairs = [(i, j) for i in range(4) for j in range(4) if i != j][:8]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i, j in pairs:
-            r = Rel("R", (Name(f"x{i}"), Name(f"x{j}")))
-            assert satisfies(M, functools.reduce(
-                lambda g, k: Forall(f"x{k}", g), range(4), Or(Not(r), r)))
+            assert satisfies(M, _four_binders(i, j))
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import re
 import sys
 import threading
@@ -269,6 +271,26 @@ def test_formulas_are_immutable():
             delattr(f, name)
     with pytest.raises(AttributeError):
         Top().extra = 1
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_the_interned_node(duplicate):
+    from plausible import folp
+    for f in (Nabla(And(p, Not(q))), folp.parse_fo("forall x. P y. "
+                                                   "s(x, c) = y | R(y)")):
+        assert duplicate(f) is f
+
+
+def test_nodes_take_exactly_their_fields():
+    from plausible.folp import Name, Rel
+    for cls, fields, message in ((Not, (p, q), "Not takes 1 arguments"),
+                                 (And, (p,), "And takes 2 arguments"),
+                                 (Rel, ("R",), "Rel takes 2 arguments"),
+                                 (Name, (), "Name takes 1 arguments")):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            cls(*fields)
 
 
 def test_deep_formula_hashes_without_recursion():

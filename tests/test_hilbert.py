@@ -1,8 +1,8 @@
 import pytest
 
 from plausible.formula import And, Atom, Implies, Nabla, Not, Or, parse
-from plausible.hilbert import (MP, Premise, ProofLine, RNabla, axiom,
-                               check_proof, instantiate, nabla_lift,
+from plausible.hilbert import (MP, AxiomJust, Premise, ProofLine, RNabla,
+                               axiom, check_proof, instantiate, nabla_lift,
                                parse_proof)
 from plausible.tableau import prove
 
@@ -21,6 +21,8 @@ def test_instantiate_examples():
         instantiate("AX1", {"A": p})
     with pytest.raises(ValueError, match="unknown schema"):
         instantiate("AX9", {"A": p})
+    with pytest.raises(ValueError, match="^LPC has no template"):
+        instantiate("LPC", {})
 
 
 def test_check_proof_accepts_axiom_instance():
@@ -96,6 +98,43 @@ def test_check_proof_rejects_bad_shapes():
     ]
     result = check_proof(bad_mp, premises=[p])
     assert not result.ok and result.line == 3
+
+
+LPC_LINE = ProofLine(1, Implies(p, Or(p, q)), axiom("LPC"))
+
+
+@pytest.mark.parametrize("lines, line, reason", [
+    ([LPC_LINE, ProofLine(3, p, Premise())], 3,
+     "indices must run 1..n (expected 2)"),
+    ([ProofLine(1, q, Premise())], 1,
+     "premise line not among the declared premises"),
+    ([ProofLine(1, p, AxiomJust("AX9"))], 1, "unknown axiom schema 'AX9'"),
+    ([ProofLine(1, Implies(And(Nabla(p), Nabla(p)), Nabla(And(p, p))),
+                axiom("AX1", A=p))], 1, "missing binding for B"),
+    ([LPC_LINE, ProofLine(2, Or(p, q), MP(2, 1))], 2,
+     "modus ponens must cite earlier lines"),
+    ([ProofLine(1, Implies(Nabla(p), Nabla(p)), RNabla(1))], 1,
+     "transfer rule must cite an earlier line"),
+    ([LPC_LINE, ProofLine(2, Implies(Nabla(p), Nabla(q)), RNabla(1))], 2,
+     "bad transfer shape (expected #A -> #B from A -> B)"),
+    ([LPC_LINE, ProofLine(2, p, "lemma")], 2,
+     "unknown justification 'lemma'"),
+], ids=["indices", "undeclared-premise", "unknown-schema", "instance",
+        "mp-later-line", "rnabla-own-line", "transfer-shape",
+        "justification-type"])
+def test_check_proof_names_each_rejection(lines, line, reason):
+    result = check_proof(lines, premises=[p])
+    assert not result
+    assert (result.line, result.reason) == (line, reason)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1. p -> p ; axiom", "line 1: axiom justification needs a schema name"),
+    ("-- note\n1. p ; lemma 1", "line 2: unknown justification 'lemma 1'"),
+])
+def test_parse_proof_names_the_unreadable_line(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_proof(text)
 
 
 def test_proofs_with_premises():

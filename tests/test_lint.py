@@ -1,12 +1,13 @@
 """No helper of the package serves only the tests, or nothing.
 
-Every public module-level function and class of ``src/plausible`` and
-every private module-level function must be named outside its own
-definition somewhere in ``src/``, ``scripts/`` or ``perfbench/`` (its tests
-excluded): read, imported or looked up as an attribute.  Every public
-method or property of a public class must be looked up as an attribute
-there: a bare name of the same spelling, such as a local variable, does
-not count.  So a helper that a refactor leaves orphaned fails here.
+Every public module-level function and class of ``src/plausible``, and
+every private module-level function, class and constant, must be named
+outside its own definition somewhere in ``src/``, ``scripts/`` or
+``perfbench/`` (its tests excluded): read, imported or looked up as an
+attribute.  Every public method or property of a public class must be
+looked up as an attribute there: a bare name of the same spelling, such
+as a local variable, does not count.  So a helper that a refactor leaves
+orphaned fails here.
 """
 
 import ast
@@ -86,17 +87,32 @@ def _module_references(trees, path):
     return found
 
 
-def test_private_functions_are_used_outside_the_tests():
+def _private_definitions(module):
+    """Each private module-level function, class and constant, with the
+    statement that defines it; a dunder such as ``__all__`` is not
+    private."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def test_private_names_are_used_outside_the_tests():
     trees = {path: ast.parse(path.read_text()) for path in _paths()}
     unused = []
     for path in sorted((ROOT / "src" / "plausible").glob("*.py")):
         found = _module_references(trees, path)
-        for node in trees[path].body:
-            if isinstance(node, ast.FunctionDef) \
-                    and node.name.startswith("_"):
-                # a recursive call does not count
-                own = sum(isinstance(n, ast.Name) and n.id == node.name
-                          for n in ast.walk(node))
-                if found[node.name] == own:
-                    unused.append(f"{path.stem}.{node.name}")
+        for name, node in _private_definitions(trees[path]):
+            # a recursive call, or a constant's own target, does not count
+            own = sum(isinstance(n, ast.Name) and n.id == name
+                      for n in ast.walk(node))
+            if found[name] == own:
+                unused.append(f"{path.stem}.{name}")
     assert not unused, unused

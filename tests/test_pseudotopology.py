@@ -47,6 +47,15 @@ def test_validate_memo_keeps_its_contract():
     for _ in range(3):
         with pytest.raises(ValueError, match="out of range"):
             validate(space(1, [1, 2]))
+    # an open must be an integer: True == 1 and 1.0 == 1, so the memo must
+    # not let {True, 3} through on the verdict of the equal {1, 3}
+    for bad, opens in (("'a'", {"a", 3}), ("True", {True, 3}),
+                       ("1.0", {1.0, 3})):
+        assert validate(space(2, [1, 3]))
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match=f"^open {bad} must be an integer$"):
+                validate(PseudoTopology(2, opens))
 
 
 def test_a_set_of_opens_becomes_a_frozenset():
