@@ -17,9 +17,9 @@ lexicographic order.
 once, with Python ints as bit-vectors over one flat index: configuration
 i = table * 2^(n k) + valuation index for k atoms on n worlds, and a
 formula's value is one bit-vector per world, bit i set where it holds at
-that world, the worlds' vectors packed as lanes of one int.  The formula is
-compiled once into straight-line code (``_program``) and run block by block
-(``_block_masks``, ``_run``).  The same program decides
+that world, the worlds' vectors packed as lanes of one int.  The search
+walks the interned formula block by block, each distinct subformula once
+per block (``_value``).  The same walk decides
 ``formula.is_classical_tautology``: the one-world frame is the 2-element
 algebra, and the atoms and #-subformulas of the formula are its units.
 ``evaluate`` is the plain one-algebra, one-valuation reference.
@@ -31,8 +31,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .formula import (BINARY, UNARY, And, Atom, Bottom, Formula, Iff,
-                      Implies, Nabla, Not, Or, Top, atoms)
+from .formula import (BINARY, And, Atom, Bottom, Formula, Iff, Implies,
+                      Nabla, Not, Or, Top, atoms)
 from .pseudotopology import Verdict, box, frames
 
 MAX_ATOMS = 3
@@ -158,6 +158,8 @@ def evaluate(f: Formula, alg: PlausibleAlgebra, valuation: Valuation) -> int:
         return top ^ evaluate(f.child, alg, valuation)
     if isinstance(f, Nabla):
         return alg.sharp[evaluate(f.child, alg, valuation)]
+    if not isinstance(f, BINARY):
+        raise AssertionError(f"unevaluated node {f!r}")
     left = evaluate(f.left, alg, valuation)
     right = evaluate(f.right, alg, valuation)
     if isinstance(f, And):
@@ -166,9 +168,7 @@ def evaluate(f: Formula, alg: PlausibleAlgebra, valuation: Valuation) -> int:
         return left | right
     if isinstance(f, Implies):
         return (top ^ left) | right
-    if isinstance(f, Iff):
-        return ((top ^ left) | right) & ((top ^ right) | left)
-    raise AssertionError(f"unevaluated node {f!r}")
+    return ((top ^ left) | right) & ((top ^ right) | left)
 
 
 # Configurations evaluated in one pass, as bit-vectors: the tables x
@@ -234,71 +234,53 @@ def _block_masks(n: int, k: int, i0: int, length: int):
     return digits, tuple(steps), (1 << n * length) - 1
 
 
-def _program(f: Formula, units: list[Formula]) -> tuple[list[tuple], int]:
-    """f as straight-line code over value slots, and the slot of f.  Slots
-    0 .. len(units) - 1 hold the units, the subformulas whose values are
-    the digits of the valuation index (atoms, and for a classical check
-    also #-subformulas); the next two hold true and false, and each
-    instruction (node class, slot, slot) appends the value of one distinct
-    subformula, children first."""
-    slots = {unit: i for i, unit in enumerate(units)}
-    slots[Top()] = len(units)
-    slots[Bottom()] = len(units) + 1
-    code: list[tuple] = []
-    return code, _emit(f, slots, code)
-
-
-def _emit(g: Formula, slots: dict[Formula, int], code: list[tuple]) -> int:
-    # the slot of g, appending the instructions of its new subformulas
-    slot = slots.get(g)
-    if slot is None:
-        if isinstance(g, UNARY):
-            code.append((type(g), _emit(g.child, slots, code), 0))
-        elif isinstance(g, BINARY):
-            code.append((type(g), _emit(g.left, slots, code),
-                         _emit(g.right, slots, code)))
+def _value(g: Formula, values: dict[Formula, int], steps: tuple,
+           full: int) -> int:
+    """The bit-vector of g on one block (``_block_masks``), kept in
+    ``values``, which starts with the units' digits, so that a shared
+    subformula is evaluated once: lane w has bit i set where g holds at
+    world w in configuration i.  ``#A`` keeps A at world w only where each
+    edge w R v leads to a world v where A holds: for each offset d, A is
+    ANDed with its lanes rotated by d, or-ed with the configurations whose
+    relation lacks the edge w R w + d."""
+    value = values.get(g)
+    if value is None:
+        kind = type(g)
+        if kind is Not:
+            value = full ^ _value(g.child, values, steps, full)
+        elif kind is Nabla:
+            a = value = _value(g.child, values, steps, full)
+            for down, up, not_edge in steps:
+                value &= not_edge | (a >> down | a << up) & full
+        elif kind is And:
+            value = (_value(g.left, values, steps, full)
+                     & _value(g.right, values, steps, full))
+        elif kind is Or:
+            value = (_value(g.left, values, steps, full)
+                     | _value(g.right, values, steps, full))
+        elif kind is Implies:
+            value = ((full ^ _value(g.left, values, steps, full))
+                     | _value(g.right, values, steps, full))
+        elif kind is Iff:
+            value = (full ^ _value(g.left, values, steps, full)
+                     ^ _value(g.right, values, steps, full))
+        elif kind is Top:
+            value = full
+        elif kind is Bottom:
+            value = 0
         else:
             raise AssertionError(f"unevaluated node {g!r}")
-        slot = slots[g] = len(slots)
-    return slot
+        values[g] = value
+    return value
 
 
-def _run(code: list[tuple], digits: tuple[int, ...], steps: tuple,
-         full: int) -> list[int]:
-    """The slot values of a ``_program`` on one block (``_block_masks``):
-    lane w of a value has bit i set where its subformula holds at world w
-    in configuration i.  ``#A`` keeps A at world w only where each edge
-    w R v leads to a world v where A holds: for each offset d, A is ANDed
-    with its lanes rotated by d, or-ed with the configurations whose
-    relation lacks the edge w R w + d."""
-    values = [*digits, full, 0]
-    append = values.append
-    for kind, i, j in code:
-        a = values[i]
-        if kind is Not:
-            append(full ^ a)
-        elif kind is Nabla:
-            out = a
-            for down, up, not_edge in steps:
-                out &= not_edge | (a >> down | a << up) & full
-            append(out)
-        elif kind is And:
-            append(a & values[j])
-        elif kind is Or:
-            append(a | values[j])
-        elif kind is Implies:
-            append((full ^ a) | values[j])
-        elif kind is Iff:
-            append(full ^ a ^ values[j])
-        else:
-            raise AssertionError(f"unevaluated node class {kind!r}")
-    return values
-
-
-def _first_failure(code: list[tuple], result: int, n: int,
-                   k: int) -> Optional[int]:
-    """The lowest configuration of size n with k units (``_block_masks``)
-    where slot ``result`` of the program fails at some world, or None."""
+def _first_failure(f: Formula, units: list[Formula],
+                   n: int) -> Optional[int]:
+    """The lowest configuration of size n (``_block_masks``) where f fails
+    at some world, or None.  The units are the subformulas whose values
+    are the digits of the valuation index: atoms, and for a classical
+    check also #-subformulas."""
+    k = len(units)
     total = len(_algebras(n)) << n * k
     # only a search of one block is cached: a longer one meets its blocks
     # once each, in order, so a cache would only keep them alive after it
@@ -307,7 +289,7 @@ def _first_failure(code: list[tuple], result: int, n: int,
     for i0 in range(0, total, _BLOCK_ELEMENTS):
         length = min(_BLOCK_ELEMENTS, total - i0)
         digits, steps, full = masks(n, k, i0, length)
-        bad = full ^ _run(code, digits, steps, full)[result]
+        bad = full ^ _value(f, dict(zip(units, digits)), steps, full)
         for w in range(1, n):
             bad |= bad >> w * length
         bad &= (1 << length) - 1
@@ -333,10 +315,10 @@ def find_countermodel(f: Formula, max_atoms: int = MAX_ATOMS
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
     names = sorted(atoms(f))
+    units = [Atom(name) for name in names]
     k = len(names)
-    code, result = _program(f, [Atom(name) for name in names])
     for n in range(1, max_atoms + 1):
-        i = _first_failure(code, result, n, k)
+        i = _first_failure(f, units, n)
         if i is not None:
             top = (1 << n) - 1
             return _algebras(n)[i >> n * k], {

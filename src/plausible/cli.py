@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import algebra, folp, hilbert, pseudotopology, tableau
-from .formula import ParseError, parse, render
+from .formula import parse, render
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -117,22 +117,22 @@ def _cmd_check_proof(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _cmd_enum_spaces(args) -> int:
+def _stream(items) -> int:
+    """Print each item's ``to_json()`` on its own line, then the count."""
     count = 0
-    for space in pseudotopology.enumerate_spaces(args.size):
-        _print(json.dumps(space.to_json(), sort_keys=True))
+    for item in items:
+        _print(json.dumps(item.to_json(), sort_keys=True))
         count += 1
     _print(f"count: {count}")
     return EXIT_OK
+
+
+def _cmd_enum_spaces(args) -> int:
+    return _stream(pseudotopology.enumerate_spaces(args.size))
 
 
 def _cmd_enum_algebras(args) -> int:
-    count = 0
-    for alg in algebra.enumerate_algebras(args.atoms):
-        _print(json.dumps(alg.to_json(), sort_keys=True))
-        count += 1
-    _print(f"count: {count}")
-    return EXIT_OK
+    return _stream(algebra.enumerate_algebras(args.atoms))
 
 
 def _cmd_fol_eval(args) -> int:
@@ -166,8 +166,7 @@ def run(argv: list[str]) -> int:
     except tableau.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, ValueError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

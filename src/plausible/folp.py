@@ -174,7 +174,11 @@ class PlausibleStructure:
         if not verdict.ok:
             raise ValueError(f"invalid opens-family: {verdict.axiom}")
         for name, table in self.relations.items():
-            table = frozenset(table)
+            try:
+                table = frozenset(table)
+            except TypeError:  # not an iterable of hashable rows
+                raise ValueError(f"relation {name} rows must be tuples of "
+                                 "integers") from None
             fault = _table_fault(self.domain_size, table, id(table))
             if fault is not None:
                 raise ValueError(fault.format(name))

@@ -16,9 +16,9 @@ while it is referenced, or while it is among the last 1024 nodes built
 precedences over a table of the binary connectives.
 
 Evaluation lives in ``algebra``: ``algebra.evaluate`` is the one-model
-reference, and one compiled bit-vector evaluator serves both the
-countermodel search and ``is_classical_tautology`` here, which loads
-``algebra`` on its first call.
+reference, and one bit-vector evaluator serves both the countermodel
+search and ``is_classical_tautology`` here, which loads ``algebra`` on its
+first call.
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ def _render(f: Formula, last: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# classical evaluation (run by ``algebra``'s compiled evaluator)
+# classical evaluation (run by ``algebra``'s bit-vector evaluator)
 
 def pseudo_atoms(f: Formula) -> list[Formula]:
     """Atoms and maximal #-subformulas, the evaluation units for the
@@ -385,9 +385,7 @@ def pseudo_atoms(f: Formula) -> list[Formula]:
 def is_classical_tautology(f: Formula) -> bool:
     """True iff f holds under every Boolean assignment to its atoms and its
     maximal #-subformulas (the latter treated as opaque units): the
-    countermodel search's compiled evaluation on the one-world frame, with
-    those units in the place of atoms."""
+    countermodel search's evaluation on the one-world frame, with those
+    units in the place of atoms."""
     from . import algebra  # on first use: algebra is built on this module
-    units = pseudo_atoms(f)
-    code, result = algebra._program(f, units)
-    return algebra._first_failure(code, result, 1, len(units)) is None
+    return algebra._first_failure(f, pseudo_atoms(f), 1) is None

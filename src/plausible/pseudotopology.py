@@ -34,7 +34,12 @@ class PseudoTopology:
                              f"got {size!r}")
         # a plain set would make the space unhashable
         if type(self.opens) is not frozenset:
-            object.__setattr__(self, "opens", frozenset(self.opens))
+            try:
+                opens = frozenset(self.opens)
+            except TypeError:  # not an iterable of hashable members
+                raise ValueError(f"opens must be integers, got "
+                                 f"{self.opens!r}") from None
+            object.__setattr__(self, "opens", opens)
 
     def to_json(self) -> dict:
         return {"universe_size": self.universe_size, "opens": sorted(self.opens)}

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -11,8 +12,10 @@ from plausible.algebra import (MAX_ATOMS, PlausibleAlgebra,
                                countermodel_to_json, enumerate_algebras,
                                evaluate, find_countermodel, from_frame,
                                validate)
+from plausible.folp import parse_fo
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
-                               Or, Top, atoms, erase_nabla, parse)
+                               Or, Top, atoms, erase_nabla,
+                               is_classical_tautology, parse)
 from plausible.pseudotopology import frames
 
 # [DERIVED] pinned independently of the enumerator, see below
@@ -123,6 +126,30 @@ def test_evaluate_unbound_atom():
     alg = PlausibleAlgebra(1, (0, 1))
     with pytest.raises(KeyError):
         evaluate(parse("p"), alg, {})
+
+
+@pytest.mark.parametrize("text", ["forall x. R(x)", "R(x)"])
+@pytest.mark.parametrize("entry", [
+    lambda f: evaluate(f, PlausibleAlgebra(1, (0, 1)), {}),
+    find_countermodel,
+    is_classical_tautology,
+], ids=["evaluate", "find_countermodel", "is_classical_tautology"])
+def test_first_order_nodes_are_not_evaluated(entry, text):
+    f = parse_fo(text)
+    with pytest.raises(AssertionError,
+                       match=f"^unevaluated node {re.escape(repr(f))}$"):
+        entry(f)
+
+
+@pytest.mark.parametrize("cls", [Not, Nabla])
+def test_deep_chains_are_evaluated(cls):
+    # the walk takes one frame per level: 800 levels stay under the
+    # default recursion limit with pytest's own frames beneath them
+    f = Atom("p")
+    for _ in range(800):
+        f = cls(f)
+    assert find_countermodel(f) is not None
+    assert not is_classical_tautology(f)
 
 
 def test_countermodel_examples():

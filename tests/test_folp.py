@@ -258,6 +258,8 @@ def test_relation_tables_are_checked_on_every_construction():
     ({}, {"f": {(0,): 1, (0, 1): 0}}, {}, "function f graph must be total "
                                           "and of one arity"),
     ({}, {"f": {(0,): 2, (1,): 0}}, {}, "function f value out of range"),
+    ({"R": [[0]]}, {}, {}, "relation R rows must be tuples of integers$"),
+    ({"R": 5}, {}, {}, "relation R rows must be tuples of integers$"),
 ])
 def test_ill_typed_entries_are_rejected(relations, functions, constants,
                                         message):

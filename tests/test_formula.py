@@ -456,6 +456,5 @@ def test_tautology_across_blocks():
     assert not is_classical_tautology(Not(conj))
     assert is_classical_tautology(Implies(conj, Atom("a1")))
     units = formula.pseudo_atoms(conj)
-    code, result = algebra._program(Not(conj), units)
-    assert algebra._first_failure(code, result, 1, 17) == 2 ** 17 - 1
+    assert algebra._first_failure(Not(conj), units, 1) == 2 ** 17 - 1
     assert 2 ** 17 > algebra._BLOCK_ELEMENTS

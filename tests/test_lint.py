@@ -7,7 +7,9 @@ outside its own definition somewhere in ``src/``, ``scripts/`` or
 attribute.  Every public method or property of a public class must be
 looked up as an attribute there: a bare name of the same spelling, such
 as a local variable, does not count.  So a helper that a refactor leaves
-orphaned fails here.
+orphaned fails here.  Likewise every name a module of ``src/plausible`` or
+``scripts/`` imports at its top level must be read in that module or
+listed in its ``__all__``.
 """
 
 import ast
@@ -116,3 +118,31 @@ def test_private_names_are_used_outside_the_tests():
             if found[name] == own:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, unused
+
+
+def _unread_imports(module):
+    """The names the module's top-level imports bind that it never reads
+    and its ``__all__`` does not list; ``__future__`` imports aside."""
+    read = {node.id for node in ast.walk(module)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    for node in module.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    yield name
+
+
+def test_module_imports_are_read():
+    paths = [*(ROOT / "src" / "plausible").glob("*.py"),
+             *(ROOT / "scripts").glob("*.py")]
+    unread = [f"{path.relative_to(ROOT)}: {name}" for path in sorted(paths)
+              for name in _unread_imports(ast.parse(path.read_text()))]
+    assert not unread, unread

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
@@ -56,6 +57,13 @@ def test_validate_memo_keeps_its_contract():
             with pytest.raises(ValueError,
                                match=f"^open {bad} must be an integer$"):
                 validate(PseudoTopology(2, opens))
+
+
+@pytest.mark.parametrize("opens", [[[1]], 5, None])
+def test_opens_of_the_wrong_shape_are_rejected(opens):
+    with pytest.raises(ValueError, match=f"^opens must be integers, got "
+                                         f"{re.escape(repr(opens))}$"):
+        PseudoTopology(1, opens)
 
 
 def test_a_set_of_opens_becomes_a_frozenset():
