@@ -172,6 +172,9 @@ def run(argv: list[str]) -> int:
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_INPUT
+    except (MemoryError, OverflowError):
+        print("error: input too large", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:

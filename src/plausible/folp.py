@@ -42,12 +42,12 @@ and ``P`` on a sentence are inline bit operations; atoms, free names and
 ``P`` under a binder call small helpers that raise ``EvaluationError``
 where the run reaches them.  A relation whose arguments are all bound
 names has a mask that depends on its table alone, so it is memoised per
-table (a wrong arity as its message, raised on each call).  That memo
-alone is gated by width: it skips scopes of more than 2^16 assignments.
-Building a structure checks each relation table once per (domain size,
-table), as ``pseudotopology`` checks each opens-family once, so
-structures that share tables share the check.  ``check_axioms`` returns
-one shared ``AxiomReport`` per tuple of verdicts.
+table; a wrong arity raises on each call, as a cache keeps no error.
+That memo alone is gated by width: it skips scopes of more than 2^16
+assignments.  Building a structure checks each relation table once per
+(domain size, table, name), as ``pseudotopology`` checks each family
+once, so structures that share tables share the check.  ``check_axioms``
+returns one shared ``AxiomReport`` per tuple of verdicts.
 """
 
 from __future__ import annotations
@@ -179,9 +179,7 @@ class PlausibleStructure:
             except TypeError:  # not an iterable of hashable rows
                 raise ValueError(f"relation {name} rows must be tuples of "
                                  "integers") from None
-            fault = _table_fault(self.domain_size, table, id(table))
-            if fault is not None:
-                raise ValueError(fault.format(name))
+            _check_table(self.domain_size, table, id(table), name)
         for name, graph in self.functions.items():
             if not all(isinstance(t, tuple) and all(map(_is_int, t))
                        for t in graph) or not all(map(_is_int,
@@ -192,6 +190,8 @@ class PlausibleStructure:
             if len(arities) != 1:
                 raise ValueError(f"function {name} graph must be total and "
                                  "of one arity")
+            if any(not 0 <= v < self.domain_size for t in graph for v in t):
+                raise ValueError(f"function {name} argument out of range")
             arity = arities.pop()
             expected = self.domain_size ** arity
             if len(graph) != expected:
@@ -253,14 +253,12 @@ class PlausibleStructure:
 
 
 @functools.lru_cache(maxsize=256)
-def _table_fault(domain_size: int, table: frozenset,
-                 identity: int) -> Optional[str]:
-    """What is wrong with a relation table on the domain, as a message
-    with a slot for the relation's name, or None.  Memoised per table, as
-    ``pseudotopology.validate`` is per family: a sweep builds thousands of
-    structures on a few dozen tables.  The message is cached, not an
-    error, so a bad table raises on every construction, naming the
-    relation it is given as.
+def _check_table(domain_size: int, table: frozenset, identity: int,
+                 name: str) -> None:
+    """Raise ValueError if the relation table is wrong on the domain.
+    Memoised per table and name, as ``pseudotopology.validate`` is per
+    family: a sweep builds thousands of structures on a few dozen tables.
+    The cache stores no error, so a bad table raises on every call.
 
     ``identity`` is ``id(table)``: a table of bools equals the table of
     ints (True == 1), so equality alone would let one pass as the other.
@@ -268,12 +266,11 @@ def _table_fault(domain_size: int, table: frozenset,
     entry lives."""
     if not all(isinstance(t, tuple) and all(map(_is_int, t))
                for t in table):
-        return "relation {} rows must be tuples of integers"
+        raise ValueError(f"relation {name} rows must be tuples of integers")
     if len({len(t) for t in table}) > 1:
-        return "mixed arity in relation {}"
+        raise ValueError(f"mixed arity in relation {name}")
     if any(not 0 <= v < domain_size for t in table for v in t):
-        return "relation {} tuple out of range"
-    return None
+        raise ValueError(f"relation {name} tuple out of range")
 
 
 def _json_object(doc: dict, key: str) -> dict:
@@ -319,27 +316,21 @@ def _relation(relations: dict, name: str, size: int, *args) -> int:
 def _bound_relation(relations: dict, name: str, d: int, k: int,
                     digits: tuple[int, ...]) -> int:
     """``_relation`` where every argument is a bound name, given by its
-    digit position in a scope of k names: the mask then depends only on
-    the table, so it comes from ``_relation_mask``, memoised per table."""
+    digit position in a scope of k names: the mask depends only on the
+    table, so ``_relation_mask`` memoises it, raising as ``_relation`` does."""
     table = relations.get(name)
     if not table:
         return 0
-    mask = _relation_mask(frozenset(table), name, d, k, digits)
-    if type(mask) is str:
-        raise EvaluationError(mask)
-    return mask
+    return _relation_mask(frozenset(table), name, d, k, digits)
 
 
 @functools.lru_cache(maxsize=1024)
 def _relation_mask(table: frozenset, name: str, d: int, k: int,
-                   digits: tuple[int, ...]) -> int | str:
-    # a wrong arity is cached as its message, not as an error, so it is
-    # raised on every call
-    try:
-        return _relation({name: table}, name, d ** k,
-                         *(_column(d, k, j) for j in digits))
-    except EvaluationError as error:
-        return str(error)
+                   digits: tuple[int, ...]) -> int:
+    """The mask of ``_relation`` on bound names.  A wrong arity raises
+    EvaluationError on every call: the cache stores no error."""
+    return _relation({name: table}, name, d ** k,
+                     *(_column(d, k, j) for j in digits))
 
 
 def _column(d: int, k: int, j: int) -> tuple[int, ...]:

@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .formula import (And, Atom, Bottom, Formula, Iff, Implies, Nabla, Not,
-                      Or, Top, size)
+from .formula import (BINARY, UNARY, And, Atom, Bottom, Formula, Iff,
+                      Implies, Nabla, Not, Or, Top, size)
 
 DEFAULT_ATOMS = ("p", "q", "r")
 
@@ -18,28 +18,25 @@ def random_formula(rng: random.Random, max_size: int = 12,
     raises ValueError."""
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
-    budget = rng.randint(1, max_size)
-
-    def build(n: int) -> Formula:
-        if n <= 1:
-            roll = rng.random()
-            if roll < 0.85:
-                return Atom(rng.choice(atom_names))
-            return Top() if roll < 0.925 else Bottom()
-        kinds = ("not", "nabla") if n == 2 else \
-            ("not", "nabla", "and", "or", "implies", "iff")
-        kind = rng.choice(kinds)
-        if kind == "not":
-            return Not(build(n - 1))
-        if kind == "nabla":
-            return Nabla(build(n - 1))
-        left_budget = rng.randint(1, n - 2)
-        ctor = {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind]
-        return ctor(build(left_budget), build(n - 1 - left_budget))
-
-    f = build(budget)
+    f = _build(rng, rng.randint(1, max_size), atom_names)
     assert size(f) <= max_size
     return f
+
+
+def _build(rng: random.Random, n: int,
+           atom_names: tuple[str, ...]) -> Formula:
+    """A random formula of n nodes, drawing from rng."""
+    if n <= 1:
+        roll = rng.random()
+        if roll < 0.85:
+            return Atom(rng.choice(atom_names))
+        return Top() if roll < 0.925 else Bottom()
+    kind = rng.choice(UNARY if n == 2 else (*UNARY, *BINARY))
+    if kind in UNARY:
+        return kind(_build(rng, n - 1, atom_names))
+    left_budget = rng.randint(1, n - 2)
+    return kind(_build(rng, left_budget, atom_names),
+                _build(rng, n - 1 - left_budget, atom_names))
 
 
 def corpus(seed: int, count: int, max_size: int = 12,

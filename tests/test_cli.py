@@ -221,8 +221,11 @@ def test_fol_eval_unbound_name_is_input_error_in_either_order(
      "'functions.f' rows must end in the value"),
     ({"domain_size": 1, "omega": [1], "constants": {"c": 0.0}},
      "'constants.c' must be an integer, got 0.0"),
+    ({"domain_size": 2, "omega": [1, 3], "functions": {"f": [[0, 1], [5, 0]]}},
+     "function f argument out of range"),
 ], ids=["domain-size-text", "top-level-list", "relation-not-a-list",
-        "function-row-without-value", "constant-not-an-integer"])
+        "function-row-without-value", "constant-not-an-integer",
+        "function-argument-out-of-range"])
 def test_fol_eval_rejects_malformed_models(tmp_path, capsys, doc, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -246,6 +249,26 @@ def test_fol_eval_rejects_overwide_scopes_before_allocating(tmp_path,
     # four binders stay within it
     assert run(["fol-eval", text.replace("forall x4. forall x5. forall x6. ",
                                          ""), "--model", str(path)]) == 0
+
+
+@pytest.mark.parametrize("size", [10 ** 15, 10 ** 21])
+def test_fol_eval_reports_models_too_large_to_hold(tmp_path, size):
+    # checking the opens-family asks for a mask of `size` bits: MemoryError
+    # at 10^15, OverflowError at 10^21; the child's address space is capped
+    # so that the first fails at once even where the kernel overcommits
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"domain_size": size, "omega": [1]}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "from plausible.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "fol-eval", "true", "--model",
+         str(path)], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", b"error: input too large\n")
 
 
 def test_unknown_command_is_input_error():

@@ -228,8 +228,8 @@ def test_structure_validation():
 
 
 def test_relation_tables_are_checked_on_every_construction():
-    # the check is memoised per table, so the contract is the caller's:
-    # a bad table raises each time, naming the relation it is given as
+    # the check is memoised per table and name and caches no error, so a
+    # bad table raises each time, naming the relation it is given as
     omega = PseudoTopology(2, frozenset([1, 3]))
     for name in ("R", "Q", "R"):
         with pytest.raises(ValueError,
@@ -260,6 +260,9 @@ def test_relation_tables_are_checked_on_every_construction():
     ({}, {"f": {(0,): 2, (1,): 0}}, {}, "function f value out of range"),
     ({"R": [[0]]}, {}, {}, "relation R rows must be tuples of integers$"),
     ({"R": 5}, {}, {}, "relation R rows must be tuples of integers$"),
+    ({}, {"f": {(0,): 1, (5,): 0}}, {}, "function f argument out of range$"),
+    ({}, {"f": {(0,): 1, (-1,): 0}}, {}, "function f argument out of "
+                                         "range$"),
 ])
 def test_ill_typed_entries_are_rejected(relations, functions, constants,
                                         message):
@@ -394,7 +397,7 @@ def test_relation_masks_keep_the_evaluation_contract():
     bad = PlausibleStructure(2, {"R": pairs, "Q": pairs}, {}, {}, omega)
     for _ in range(2):
         assert satisfies(good, parse_fo("exists x. R(x)"))
-        # the memo caches the message, so each call raises, naming the
+        # the memo caches no error, so each call raises, naming the
         # relation the table is read as
         for name in ("R", "Q"):
             with pytest.raises(EvaluationError,

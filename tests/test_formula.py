@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import pickle
+import random
 import re
 import sys
 import threading
@@ -333,7 +334,7 @@ def test_intern_table_keeps_the_last_nodes_built():
 
 
 def _calls():
-    from plausible import algebra, folp, pseudotopology, tableau
+    from plausible import algebra, folp, pseudotopology, sampling, tableau
     f = parse("#(p & q) -> #p | ~r")
     result = tableau.prove([], f)
     space = pseudotopology.PseudoTopology(2, {1, 3})
@@ -352,6 +353,9 @@ def _calls():
         # past the cache: a program compiled afresh
         "_compiled": lambda: folp._compiled.__wrapped__((g, phi), 2),
         "check_axioms": lambda: folp.check_axioms(M, phi, psi, "x"),
+        "random_formula": lambda: sampling.random_formula(random.Random(3),
+                                                          12),
+        "corpus": lambda: sampling.corpus(1, 5),
     }
 
 

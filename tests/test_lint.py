@@ -9,7 +9,9 @@ looked up as an attribute there: a bare name of the same spelling, such
 as a local variable, does not count.  So a helper that a refactor leaves
 orphaned fails here.  Likewise every name a module of ``src/plausible`` or
 ``scripts/`` imports at its top level must be read in that module or
-listed in its ``__all__``.
+listed in its ``__all__``.  And no function defined inside another there
+reads its own name unless the enclosing function deletes it, so no call
+leaves a recursive closure behind as a reference cycle.
 """
 
 import ast
@@ -146,3 +148,33 @@ def test_module_imports_are_read():
     unread = [f"{path.relative_to(ROOT)}: {name}" for path in sorted(paths)
               for name in _unread_imports(ast.parse(path.read_text()))]
     assert not unread, unread
+
+
+def _recursive_closures(module):
+    """Each function defined inside another that reads its own name,
+    unless the enclosing function deletes that name: the closure holds
+    itself through its cell, a reference cycle that only a collection
+    frees."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for outer in ast.walk(module):
+        if not isinstance(outer, functions):
+            continue
+        deleted = {node.id for node in ast.walk(outer)
+                   if isinstance(node, ast.Name)
+                   and isinstance(node.ctx, ast.Del)}
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, functions) \
+                    and inner.name not in deleted \
+                    and any(isinstance(node, ast.Name)
+                            and isinstance(node.ctx, ast.Load)
+                            and node.id == inner.name
+                            for node in ast.walk(inner)):
+                yield f"{outer.name}.{inner.name}"
+
+
+def test_no_recursive_closure_outlives_its_call():
+    paths = [*(ROOT / "src" / "plausible").glob("*.py"),
+             *(ROOT / "scripts").glob("*.py")]
+    found = {f"{path.relative_to(ROOT)}: {name}" for path in sorted(paths)
+             for name in _recursive_closures(ast.parse(path.read_text()))}
+    assert not found, sorted(found)
