@@ -1,28 +1,27 @@
 """Finite plausible algebras: the brute-force semantic oracle.
 
 An algebra here is the powerset Boolean algebra on ``n_atoms`` generators
-(elements are bitmasks) together with a table for the plausibility operator
-``sharp``.  Every finite Boolean algebra is of this form up to isomorphism,
-so nothing is lost at the scales we enumerate.
+(elements are bitmasks) together with the plausibility operator ``sharp``.
+Every finite Boolean algebra is of this form up to isomorphism, so nothing
+is lost at the scales we enumerate.
 
-Read bit w of an element as world w.  The valid tables are exactly the box
-operators of the reflexive relations on ``n_atoms`` worlds, which come from
-the one frame layer in ``pseudotopology``: ``frames`` lists the relations
-and ``box`` gives the table of one.  ``from_frame`` checks a relation and
-wraps its box, the ``successors`` of a table give the relation back, and
-``enumerate_algebras`` lists the tables of the 2^(n^2 - n) relations in
-lexicographic order.
+Read bit w of an element as world w.  The valid operators are exactly the
+box operators of the reflexive relations on ``n_atoms`` worlds (Jonsson
+and Tarski's representation), so a ``PlausibleAlgebra`` is stored as its
+relation, and ``sharp`` is the relation's box table.  Both come from the
+one frame layer in ``pseudotopology``: ``frames`` lists the relations and
+``box`` gives the table of one.  ``enumerate_algebras`` lists the
+2^(n^2 - n) relations in the lexicographic order of their tables.
 
-``find_countermodel`` searches all tables and valuations of one size at
-once, with Python ints as bit-vectors over one flat index: configuration
-i = table * 2^(n k) + valuation index for k atoms on n worlds, and a
-formula's value is one bit-vector per world, bit i set where it holds at
-that world, the worlds' vectors packed as lanes of one int.  The search
-walks the interned formula block by block, each distinct subformula once
-per block (``_value``).  The same walk decides
+``find_countermodel`` searches all relations and valuations of one size
+at once, with Python ints as bit-vectors over one flat index:
+configuration i = table * 2^(n k) + valuation index for k atoms on n
+worlds, and a formula's value is one bit-vector per world, bit i set
+where it holds at that world, the worlds' vectors packed as lanes of one
+int.  The search walks the interned formula block by block, each
+distinct subformula once per block (``_value``).  The same walk decides
 ``formula.is_classical_tautology``: the one-world frame is the 2-element
 algebra, and the atoms and #-subformulas of the formula are its units.
-``evaluate`` is the plain one-algebra, one-valuation reference.
 """
 
 from __future__ import annotations
@@ -31,144 +30,66 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .formula import (BINARY, And, Atom, Bottom, Formula, Iff, Implies,
-                      Nabla, Not, Or, Top, atoms)
-from .pseudotopology import Verdict, box, frames
+from .formula import (And, Atom, Bottom, Formula, Iff, Implies, Nabla, Not,
+                      Or, Top, atoms)
+from .pseudotopology import box, frames
 
 MAX_ATOMS = 3
+
+Valuation = dict[str, int]
 
 
 @dataclass(frozen=True)
 class PlausibleAlgebra:
+    """The algebra of a reflexive relation on the worlds 0..n_atoms-1:
+    ``successors[w]`` is the bitmask of the worlds v with w R v, and must
+    contain w itself.  ``sharp[a]`` is the set of worlds all of whose
+    successors lie in a, so a1, a2 and a4 hold by construction and a3 by
+    reflexivity."""
     n_atoms: int
-    sharp: tuple[int, ...]
+    successors: tuple[int, ...]
+
+    def __post_init__(self):
+        n, successors = self.n_atoms, tuple(self.successors)
+        if len(successors) != n or any(
+                not 0 <= s < 1 << n or not s >> w & 1
+                for w, s in enumerate(successors)):
+            raise ValueError(f"successors must list {n} masks in "
+                             f"0..{(1 << n) - 1}, each containing its own "
+                             f"world")
+        # a list would make the algebra unhashable
+        object.__setattr__(self, "successors", successors)
 
     @property
-    def size(self) -> int:
-        return 1 << self.n_atoms
-
-    @property
-    def top(self) -> int:
-        return self.size - 1
-
-    @property
-    def successors(self) -> tuple[int, ...]:
-        """The relation whose box table this is, as ``from_frame`` takes
-        it: w R v exactly when w is not in sharp(top minus v)."""
-        return tuple(sum(1 << v for v in range(self.n_atoms)
-                         if not self.sharp[self.top ^ 1 << v] >> w & 1)
-                     for w in range(self.n_atoms))
+    def sharp(self) -> tuple[int, ...]:
+        return box(self.n_atoms, self.successors)
 
     def to_json(self) -> dict:
         return {"n_atoms": self.n_atoms, "sharp": list(self.sharp)}
 
 
-def validate(n_atoms: int, sharp) -> Verdict:
-    """Check the defining laws of the plausibility operator:
-
-    a1: #a & #b <= #(a & b)     a2: #a <= #(a | b)
-    a3: #a <= a                 a4: #top = top
-    """
-    size = 1 << n_atoms
-    top = size - 1
-    sharp = tuple(sharp)
-    if len(sharp) != size or any(not (0 <= s <= top) for s in sharp):
-        raise ValueError(f"sharp table must list {size} elements in 0..{top}")
-    for a in range(size):
-        if sharp[a] & ~a & top:
-            return Verdict(False, "a3", (a,))
-    if sharp[top] != top:
-        return Verdict(False, "a4", (top,))
-    for a in range(size):
-        for b in range(size):
-            if (sharp[a] & sharp[b]) & ~sharp[a & b] & top:
-                return Verdict(False, "a1", (a, b))
-            if sharp[a] & ~sharp[a | b] & top:
-                return Verdict(False, "a2", (a, b))
-    return Verdict(True)
-
-
-def from_frame(n_atoms: int, successors) -> PlausibleAlgebra:
-    """The box table of a reflexive relation on the worlds 0..n_atoms-1.
-
-    Element a is the set of worlds w with bit w set; ``successors[w]`` is
-    the bitmask of the worlds v with w R v, and must contain w itself.
-    ``sharp[a]`` is the set of worlds all of whose successors lie in a
-    (``pseudotopology.box``), so a1, a2 and a4 hold by construction and a3
-    by reflexivity.
-    """
-    size = 1 << n_atoms
-    successors = tuple(successors)
-    if len(successors) != n_atoms or any(
-            not 0 <= s < size or not s >> w & 1
-            for w, s in enumerate(successors)):
-        raise ValueError(f"successors must list {n_atoms} masks in "
-                         f"0..{size - 1}, each containing its own world")
-    return PlausibleAlgebra(n_atoms, box(n_atoms, successors))
-
-
 @functools.cache
 def _algebras(n_atoms: int) -> tuple[PlausibleAlgebra, ...]:
-    return tuple(sorted((from_frame(n_atoms, successors)
+    return tuple(sorted((PlausibleAlgebra(n_atoms, successors)
                          for successors in frames(n_atoms)),
                         key=lambda alg: alg.sharp))
 
 
 def enumerate_algebras(n_atoms: int) -> Iterator[PlausibleAlgebra]:
-    """All valid sharp tables on the 2^n_atoms-element algebra, in
-    lexicographic table order.
+    """All plausible algebras on the 2^n_atoms-element powerset, in
+    lexicographic order of their sharp tables.
 
     A table satisfies a1-a4 exactly when it is the box table of a reflexive
     relation on n_atoms worlds (a finite Boolean algebra is complete, and
     a1 with a4 make sharp preserve every meet), and distinct relations give
-    distinct tables.  So the tables are ``from_frame`` of the
-    2^(n^2 - n) reflexive relations of ``pseudotopology.frames``, sorted.
-    An n_atoms out of range raises ValueError at the call, before any
-    table is built.
+    distinct tables.  So the algebras are the 2^(n^2 - n) reflexive
+    relations of ``pseudotopology.frames``, sorted by table.  An n_atoms
+    out of range raises ValueError at the call, before any algebra is
+    built.
     """
     if not 0 <= n_atoms <= MAX_ATOMS:
         raise ValueError(f"n_atoms must be in 0..{MAX_ATOMS}, got {n_atoms}")
     return iter(_algebras(n_atoms))
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-Valuation = dict[str, int]
-
-
-class UnboundAtomError(KeyError):
-    pass
-
-
-def evaluate(f: Formula, alg: PlausibleAlgebra, valuation: Valuation) -> int:
-    """Bottom-up evaluation; the plausibility operator maps through the
-    sharp table, everything else through the Boolean structure."""
-    top = alg.top
-    if isinstance(f, Atom):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise UnboundAtomError(f.name) from None
-    if isinstance(f, Top):
-        return top
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Not):
-        return top ^ evaluate(f.child, alg, valuation)
-    if isinstance(f, Nabla):
-        return alg.sharp[evaluate(f.child, alg, valuation)]
-    if not isinstance(f, BINARY):
-        raise AssertionError(f"unevaluated node {f!r}")
-    left = evaluate(f.left, alg, valuation)
-    right = evaluate(f.right, alg, valuation)
-    if isinstance(f, And):
-        return left & right
-    if isinstance(f, Or):
-        return left | right
-    if isinstance(f, Implies):
-        return (top ^ left) | right
-    return ((top ^ left) | right) & ((top ^ right) | left)
 
 
 # Configurations evaluated in one pass, as bit-vectors: the tables x

@@ -15,10 +15,9 @@ while it is referenced, or while it is among the last 1024 nodes built
 (see ``Formula``).  The parser tokenizes in one pass, then climbs
 precedences over a table of the binary connectives.
 
-Evaluation lives in ``algebra``: ``algebra.evaluate`` is the one-model
-reference, and one bit-vector evaluator serves both the countermodel
-search and ``is_classical_tautology`` here, which loads ``algebra`` on its
-first call.
+Evaluation lives in ``algebra``: one bit-vector evaluator serves both
+the countermodel search and ``is_classical_tautology`` here, which loads
+``algebra`` on its first call.
 """
 
 from __future__ import annotations

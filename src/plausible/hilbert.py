@@ -16,8 +16,9 @@ Proof file format, one line per step:
   <index>. <formula> ; <justification>
 
 with justification one of ``premise``, ``axiom LPC``,
-``axiom AX3 A=<formula>`` (``B=<formula>`` where the schema needs it),
-``mp <i> <j>`` (line j must be: line i -> this line), ``rnabla <i>``.
+``axiom AX3 A=<formula>`` (``B=<formula>`` where the schema needs it;
+each of the schema's variables is bound exactly once), ``mp <i> <j>``
+(line j must be: line i -> this line), ``rnabla <i>``.
 """
 
 from __future__ import annotations
@@ -128,6 +129,12 @@ def check_proof(lines: Iterable[ProofLine],
         elif isinstance(just, AxiomJust):
             if just.schema not in SCHEMA_VARS:
                 return reject(f"unknown axiom schema {just.schema!r}")
+            names = [name for name, _ in just.bindings]
+            for name in names:
+                if name not in SCHEMA_VARS[just.schema]:
+                    return reject(f"{just.schema} has no variable {name}")
+                if names.count(name) > 1:
+                    return reject(f"repeated binding for {name}")
             if just.schema == "LPC":
                 if not is_classical_tautology(f):
                     return reject("not a classical tautology")
@@ -190,12 +197,14 @@ def _parse_justification(text: str) -> Justification:
             raise ValueError("axiom justification needs a schema name")
         schema = sub[0].upper()
         arg_text = sub[1] if len(sub) > 1 else ""
-        bindings = {}
+        # a repeated variable is kept, for check_proof to reject
+        bindings = []
         marks = list(_BINDING_RE.finditer(arg_text))
         for k, m in enumerate(marks):
             end = marks[k + 1].start() if k + 1 < len(marks) else len(arg_text)
-            bindings[m.group(1)] = parse(arg_text[m.end():end])
-        return AxiomJust(schema, tuple(sorted(bindings.items())))
+            bindings.append((m.group(1), parse(arg_text[m.end():end])))
+        return AxiomJust(schema, tuple(sorted(bindings,
+                                              key=lambda b: b[0])))
     if head == "mp":
         return MP(*_line_numbers(head, rest, 2))
     if head == "rnabla":

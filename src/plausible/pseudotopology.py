@@ -9,7 +9,8 @@ preorder in which w reaches v when every open containing w contains v.
 This module is the one frame layer of the package: ``frames`` lists the
 reflexive relations on n points and ``box`` gives the box map of one.  A
 space's opens are the nonzero fixed points of its relation's box, which
-is its interior map and, in ``algebra``, a plausible algebra's sharp table.
+is its interior map.  In ``algebra`` a plausible algebra is stored as
+such a relation, and the box map is its sharp table.
 """
 
 from __future__ import annotations

@@ -107,12 +107,19 @@ class Node:
     closed: bool = False
 
     def to_json(self) -> dict:
-        doc = {"formula": render(self.formula) if self.formula else None,
-               "rule": self.rule,
-               "children": [c.to_json() for c in self.children]}
-        if not self.children:
-            doc["closed"] = self.closed
-        return doc
+        """The tree below this node as nested dicts.  Built with an
+        explicit stack: a tree is as deep as its longest branch."""
+        root: dict = {}
+        stack = [(self, root)]
+        while stack:
+            node, doc = stack.pop()
+            doc["formula"] = render(node.formula) if node.formula else None
+            doc["rule"] = node.rule
+            doc["children"] = [{} for _ in node.children]
+            if not node.children:
+                doc["closed"] = node.closed
+            stack += zip(node.children, doc["children"])
+        return root
 
 
 @dataclass
@@ -369,4 +376,28 @@ def is_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def result_to_json_text(result: ProveResult) -> str:
-    return json.dumps(result.to_json(), indent=2, sort_keys=True)
+    """``json.dumps(result.to_json(), indent=2, sort_keys=True)``, written
+    with an explicit stack: ``json`` takes frames per level of nesting,
+    and a tree is as deep as its longest branch."""
+    out = []
+    stack: list = [(result.to_json(), "\n")]  # text, or (value, indent)
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            out.append(top)
+            continue
+        value, pad = top
+        if not value or not isinstance(value, (dict, list)):
+            out.append(json.dumps(value))
+            continue
+        if isinstance(value, dict):
+            brackets, items = "{}", [(json.dumps(key) + ": ", value[key])
+                                     for key in sorted(value)]
+        else:
+            brackets, items = "[]", [("", item) for item in value]
+        out.append(brackets[0])
+        stack.append(pad + brackets[1])
+        inner = pad + "  "
+        for i, (key, item) in reversed(list(enumerate(items))):
+            stack += [(item, inner), ("," if i else "") + inner + key]
+    return "".join(out)

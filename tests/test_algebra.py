@@ -10,13 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from plausible import algebra
 from plausible.algebra import (MAX_ATOMS, PlausibleAlgebra,
                                countermodel_to_json, enumerate_algebras,
-                               evaluate, find_countermodel, from_frame,
-                               validate)
+                               find_countermodel)
 from plausible.folp import parse_fo
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, Top, atoms, erase_nabla,
                                is_classical_tautology, parse)
 from plausible.pseudotopology import frames
+
+from conftest import evaluate, validate_algebra as validate
 
 # [DERIVED] pinned independently of the enumerator, see below
 ALGEBRA_COUNTS = {1: 1, 2: 4, 3: 64}
@@ -94,43 +95,74 @@ def test_frames_are_the_reflexive_relations(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_frames_give_the_tables(n):
-    tables = sorted(from_frame(n, successors).sharp
+    tables = sorted(PlausibleAlgebra(n, successors).sharp
                     for successors in _reflexive_relations(n))
     assert len(tables) == 2 ** (n * n - n) == ALGEBRA_COUNTS[n]
     assert tables == [a.sharp for a in enumerate_algebras(n)]
+    top = (1 << n) - 1
     for alg in enumerate_algebras(n):
         assert validate(n, alg.sharp)
-        assert from_frame(n, alg.successors) == alg
+        # the table gives its relation back: w R v exactly when w is not
+        # in sharp(top minus v), so distinct relations have distinct tables
+        assert tuple(sum(1 << v for v in range(n)
+                         if not alg.sharp[top ^ 1 << v] >> w & 1)
+                     for w in range(n)) == alg.successors
 
 
-def test_from_frame_examples():
+def test_algebra_record_checks_its_relation():
     # one world: the identity; two worlds, 0 R 1 only: #{1} = {1}, #{0} = {}
-    assert from_frame(1, [1]).sharp == (0, 1)
-    assert from_frame(2, [3, 2]).sharp == (0, 0, 2, 3)
-    assert from_frame(2, [3, 2]).successors == (3, 2)
+    assert PlausibleAlgebra(1, [1]).sharp == (0, 1)
+    alg = PlausibleAlgebra(2, [3, 2])
+    assert alg.sharp == (0, 0, 2, 3)
+    # a list is stored as a tuple, so the record hashes
+    assert alg.successors == (3, 2)
+    assert hash(alg) == hash(PlausibleAlgebra(2, (3, 2)))
     # not reflexive at world 0, then world 1; out of range; wrong length
     for n, successors in ((1, [0]), (2, [1, 1]), (1, [3]), (2, [1, 2, 4])):
         with pytest.raises(ValueError, match="successors"):
-            from_frame(n, successors)
+            PlausibleAlgebra(n, successors)
 
 
 def test_evaluate_examples():
-    alg = PlausibleAlgebra(1, (0, 1))
-    assert evaluate(parse("#p -> p"), alg, {"p": 0}) == alg.top
+    alg = PlausibleAlgebra(1, (1,))
+    assert evaluate(parse("#p -> p"), alg, {"p": 0}) == 1
     assert evaluate(parse("#p"), alg, {"p": 0}) == 0
     assert evaluate(parse("true"), alg, {}) == 1
     assert evaluate(parse("false"), alg, {}) == 0
 
 
 def test_evaluate_unbound_atom():
-    alg = PlausibleAlgebra(1, (0, 1))
+    alg = PlausibleAlgebra(1, (1,))
     with pytest.raises(KeyError):
         evaluate(parse("p"), alg, {})
 
 
+def test_evaluate_reads_frames_beyond_the_search():
+    # the 4-world chain 0 R 1 R 2 R 3 with p at worlds 0-2 refutes
+    # ##p -> ###p at world 0, yet no frame of at most 3 worlds does: no
+    # fixed bound of the search is complete for KT
+    f = parse("##p -> ###p")
+    chain = PlausibleAlgebra(4, (0b0011, 0b0110, 0b1100, 0b1000))
+    assert not evaluate(f, chain, {"p": 0b0111}) & 1
+    assert find_countermodel(f, 3) is None
+
+
+def test_evaluate_is_linear_in_worlds():
+    # the 64-world chain w R w + 1, whose table would have 2**64 entries,
+    # with p false only at world 63: #^d p holds below world 63 - d
+    n = 64
+    chain = PlausibleAlgebra(n, tuple(3 << w & (1 << n) - 1
+                                      for w in range(n)))
+    f = Atom("p")
+    for d in range(n):
+        assert evaluate(f, chain, {"p": (1 << 63) - 1}) \
+            == (1 << 63 - d) - 1
+        f = Nabla(f)
+
+
 @pytest.mark.parametrize("text", ["forall x. R(x)", "R(x)"])
 @pytest.mark.parametrize("entry", [
-    lambda f: evaluate(f, PlausibleAlgebra(1, (0, 1)), {}),
+    lambda f: evaluate(f, PlausibleAlgebra(1, (1,)), {}),
     find_countermodel,
     is_classical_tautology,
 ], ids=["evaluate", "find_countermodel", "is_classical_tautology"])
@@ -154,11 +186,11 @@ def test_deep_chains_are_evaluated(cls):
 
 def test_countermodel_examples():
     alg, valuation = find_countermodel(parse("#p"))
-    assert alg == PlausibleAlgebra(1, (0, 1))
+    assert alg == PlausibleAlgebra(1, (1,))
     assert valuation == {"p": 0}
 
     alg, valuation = find_countermodel(parse("#p -> #q"))
-    assert alg == PlausibleAlgebra(1, (0, 1))
+    assert alg == PlausibleAlgebra(1, (1,))
     assert valuation == {"p": 1, "q": 0}
 
     assert find_countermodel(parse("#p -> p")) is None
@@ -166,7 +198,7 @@ def test_countermodel_examples():
 
     # a bare leaf is the formula's own value slot
     assert find_countermodel(parse("true")) is None
-    assert find_countermodel(parse("false")) == (PlausibleAlgebra(1, (0, 1)),
+    assert find_countermodel(parse("false")) == (PlausibleAlgebra(1, (1,)),
                                                  {})
     assert find_countermodel(parse("p"))[1] == {"p": 0}
 
@@ -177,10 +209,10 @@ def _first_countermodel_by_loop(f, max_atoms):
     for n in range(1, max_atoms + 1):
         for alg in enumerate_algebras(n):
             # valuations in lexicographic order, as the search tries them
-            for values in itertools.product(range(alg.size),
+            for values in itertools.product(range(1 << n),
                                             repeat=len(names)):
                 valuation = dict(zip(names, values))
-                if evaluate(f, alg, valuation) != alg.top:
+                if evaluate(f, alg, valuation) != (1 << n) - 1:
                     return alg, valuation
     return None
 
@@ -190,7 +222,7 @@ def _check_against_loop(f, max_atoms):
     assert hit == _first_countermodel_by_loop(f, max_atoms)
     if hit is not None:
         alg, valuation = hit
-        assert evaluate(f, alg, valuation) != alg.top
+        assert evaluate(f, alg, valuation) != (1 << alg.n_atoms) - 1
     return hit
 
 
@@ -240,7 +272,7 @@ def test_countermodel_on_the_valuation_chunk_path():
     alg, valuation = find_countermodel(f)
     assert alg.sharp == (0, 0, 0, 0, 0, 0, 2, 7)
     assert valuation == {"a": 6, "b": 6, "d": 0, "e": 0, "f": 6, "g": 0}
-    assert evaluate(f, alg, valuation) != alg.top
+    assert evaluate(f, alg, valuation) != 7
     assert 8 ** 6 > algebra._BLOCK_ELEMENTS
 
 
@@ -333,14 +365,14 @@ def test_is_valid_up_to():
 
 def test_plausible_elements():
     def plausible_elements(alg):
-        return {a for a in range(alg.size) if a and alg.sharp[a] == a}
+        return {a for a, inside in enumerate(alg.sharp) if a and inside == a}
 
-    assert plausible_elements(PlausibleAlgebra(1, (0, 1))) == {1}
+    assert plausible_elements(PlausibleAlgebra(1, (1,))) == {1}
     # only top is a fixed point in the most selective n=2 algebra
     least = next(iter(enumerate_algebras(2)))
     assert plausible_elements(least) == {3}
     for alg in enumerate_algebras(2):
-        assert alg.top in plausible_elements(alg)
+        assert 3 in plausible_elements(alg)
         assert 0 not in plausible_elements(alg)
 
 
@@ -349,10 +381,10 @@ def test_sharp_tables_are_interior_like(seed):
     """Every enumerated n=2 operator is deflationary, monotone and fixes
     top; this restates a1..a4 pointwise as a sanity net."""
     algebras = list(enumerate_algebras(2))
-    alg = algebras[seed % len(algebras)]
-    for a in range(alg.size):
-        assert alg.sharp[a] & ~a & alg.top == 0
-        for b in range(alg.size):
+    sharp = algebras[seed % len(algebras)].sharp
+    for a in range(4):
+        assert sharp[a] & ~a & 3 == 0
+        for b in range(4):
             if a & ~b == 0:
-                assert alg.sharp[a] & ~alg.sharp[b] & alg.top == 0
-    assert alg.sharp[alg.top] == alg.top
+                assert sharp[a] & ~sharp[b] & 3 == 0
+    assert sharp[3] == 3

@@ -80,6 +80,28 @@ def test_prove_json(capsys):
     assert doc["tree"]["formula"] == "~(#p -> p)"
 
 
+def test_prove_json_takes_a_branch_of_any_length(capsys):
+    # each formula the rules add hangs under the one before it, so this
+    # tree is as deep as its 900-formula open branch
+    text = "~(" + " & ".join(f"p{i}" for i in range(450)) + ")"
+    assert run(["prove", text]) == 1
+    opens = [line.removeprefix("  open: ")
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  open: ")]
+    assert len(opens) == 900
+    assert run(["prove", text, "--json"]) == 1
+    out = capsys.readouterr().out
+    # the standard decoder, unlike the command, takes frames per level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        doc = json.loads(out)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert doc["verdict"] == "open"
+    assert doc["open_branch"] == opens
+
+
 def test_prove_budget_exit_code(capsys):
     assert run(["prove", "#(p & q) -> #(q & p)", "--budget", "3"]) == 3
     assert "error" in capsys.readouterr().err

@@ -441,8 +441,9 @@ def test_tautology_matches_two_element_algebra(f):
     """A formula is a classical tautology exactly when its copy with fresh
     atoms for the maximal #-subformulas holds under every valuation in the
     2-element algebra; likewise for its #-erasure."""
-    from plausible.algebra import PlausibleAlgebra, evaluate
-    alg = PlausibleAlgebra(1, (0, 1))
+    from plausible.algebra import PlausibleAlgebra
+    from conftest import evaluate
+    alg = PlausibleAlgebra(1, (1,))
     for g in (f, erase_nabla(f)):
         h = _opaque(g, {})
         names = sorted(atoms(h))

@@ -119,9 +119,16 @@ LPC_LINE = ProofLine(1, Implies(p, Or(p, q)), axiom("LPC"))
      "bad transfer shape (expected #A -> #B from A -> B)"),
     ([LPC_LINE, ProofLine(2, p, "lemma")], 2,
      "unknown justification 'lemma'"),
+    (parse_proof("1. (#q & #r) -> #(q & r) ; axiom AX1 A=p A=q B=r")[0], 1,
+     "repeated binding for A"),
+    (parse_proof("1. #p -> p ; axiom AX3 A=p B=q")[0], 1,
+     "AX3 has no variable B"),
+    (parse_proof("1. p -> p ; axiom LPC A=q")[0], 1,
+     "LPC has no variable A"),
 ], ids=["indices", "undeclared-premise", "unknown-schema", "instance",
         "mp-later-line", "rnabla-own-line", "transfer-shape",
-        "justification-type"])
+        "justification-type", "repeated-binding", "stray-binding",
+        "lpc-binding"])
 def test_check_proof_names_each_rejection(lines, line, reason):
     result = check_proof(lines, premises=[p])
     assert not result

@@ -4,7 +4,11 @@ Every public module-level function and class of ``src/plausible``, and
 every private module-level function, class and constant, must be named
 outside its own definition somewhere in ``src/``, ``scripts/`` or
 ``perfbench/`` (its tests excluded): read, imported or looked up as an
-attribute.  Every public method or property of a public class must be
+attribute.  A private name, or a public one that more than one of those
+files defines at top level, counts only as a name of its own module: bare
+in the module, as ``module.name``, or imported from it.  So another
+module's function of the same name does not keep it alive.  Every public
+method or property of a public class must be
 looked up as an attribute there: a bare name of the same spelling, such
 as a local variable, does not count.  So a helper that a refactor leaves
 orphaned fails here.  Likewise every name a module of ``src/plausible`` or
@@ -56,17 +60,36 @@ def _paths():
               if "tests" not in path.relative_to(bench).parts)]
 
 
+def _top_level_definitions(module):
+    """Each module-level function, class and constant, with the statement
+    that defines it."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            yield from ((t.id, node) for t in targets
+                        if isinstance(t, ast.Name))
+
+
 def test_public_helpers_are_used_outside_the_tests():
     trees = {path: ast.parse(path.read_text()) for path in _paths()}
     named = Counter(name for tree in trees.values() for name in _names(tree))
     read = Counter(name for tree in trees.values()
                    for name in _attributes(tree))
+    # each file counts a name once, however often it binds it
+    defined = Counter(name for tree in trees.values()
+                      for name in dict(_top_level_definitions(tree)))
     unused = []
     for path in sorted((ROOT / "src" / "plausible").glob("*.py")):
+        own = _module_references(trees, path)
         for qualified, node in _public_definitions(trees[path]):
-            # a method or property is used only when read as an attribute
+            # a method or property is used only when read as an attribute,
+            # an ambiguous module-level name only as a name of its module
             uses = _attributes if "." in qualified else _names
-            found = read if "." in qualified else named
+            found = read if "." in qualified else \
+                own if defined[node.name] > 1 else named
             if found[node.name] == Counter(uses(node))[node.name]:
                 unused.append(f"{path.stem}.{qualified}")
     assert not unused, unused
@@ -92,20 +115,10 @@ def _module_references(trees, path):
 
 
 def _private_definitions(module):
-    """Each private module-level function, class and constant, with the
-    statement that defines it; a dunder such as ``__all__`` is not
-    private."""
-    for node in module.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        yield from ((name, node) for name in names
-                    if name.startswith("_") and not name.endswith("__"))
+    """The private ones of ``_top_level_definitions``; a dunder such as
+    ``__all__`` is not private."""
+    return ((name, node) for name, node in _top_level_definitions(module)
+            if name.startswith("_") and not name.endswith("__"))
 
 
 def test_private_names_are_used_outside_the_tests():

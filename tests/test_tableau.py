@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from plausible.algebra import enumerate_algebras, evaluate
+from plausible.algebra import enumerate_algebras
 from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, atoms, parse, render)
 from plausible.hilbert import instantiate
@@ -14,7 +14,7 @@ from plausible.sampling import corpus, depth2_candidates, random_formula
 from plausible.tableau import (Branch, BudgetExceeded, is_valid, prove,
                                result_to_json_text)
 
-from conftest import CORPUS_SEED, CORPUS_SIZE
+from conftest import CORPUS_SEED, CORPUS_SIZE, evaluate
 
 p, q = Atom("p"), Atom("q")
 
@@ -249,9 +249,9 @@ def _holds_everywhere(f, max_atoms=2):
     names = sorted(atoms(f))
     for n in range(1, max_atoms + 1):
         for alg in enumerate_algebras(n):
-            for values in itertools.product(range(alg.size),
+            for values in itertools.product(range(1 << n),
                                             repeat=len(names)):
-                if evaluate(f, alg, dict(zip(names, values))) != alg.top:
+                if evaluate(f, alg, dict(zip(names, values))) != (1 << n) - 1:
                     return False
     return True
 
