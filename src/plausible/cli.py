@@ -82,7 +82,7 @@ def _cmd_prove(args) -> int:
     goal = parse(args.formula)
     result = tableau.prove(premises, goal, budget=args.budget)
     if args.json:
-        _print(tableau.result_to_json_text(result))
+        _print(json.dumps(result.to_json(), indent=2, sort_keys=True))
     else:
         _print(result.to_text())
         _print(f"verdict: {result.verdict}")

@@ -241,7 +241,12 @@ class PlausibleStructure:
             if not all(rows):
                 raise ValueError(f"'functions.{name}' rows must end in the "
                                  "value")
-            functions[name] = {row[:-1]: row[-1] for row in rows}
+            graph = functions[name] = {}
+            for row in rows:
+                if row[:-1] in graph:
+                    raise ValueError(f"'functions.{name}' lists the "
+                                     f"argument {row[:-1]} twice")
+                graph[row[:-1]] = row[-1]
         constants = _json_object(doc, "constants")
         for name, value in constants.items():
             if not _is_int(value):
@@ -306,11 +311,8 @@ def _relation(relations: dict, name: str, size: int, *args) -> int:
         return 0
     if (arity := len(next(iter(table)))) != len(args):
         raise EvaluationError(f"relation {name} expects {arity} arguments")
-    mask = 0
-    for i, row in enumerate(zip(*args) if args else [()] * size):
-        if row in table:
-            mask |= 1 << i
-    return mask
+    return _mask([row in table
+                  for row in (zip(*args) if args else [()] * size)])
 
 
 def _bound_relation(relations: dict, name: str, d: int, k: int,
@@ -353,14 +355,25 @@ def _function(functions: dict, name: str, size: int, *args) -> list[int]:
 
 
 def _equal(left: list[int], right: list[int]) -> int:
-    return sum(1 << i for i, (a, b) in enumerate(zip(left, right)) if a == b)
+    return _mask([a == b for a, b in zip(left, right)])
 
 
 def _plausible(body: int, opens: frozenset[int], d: int, size: int) -> int:
-    # at assignment i, bit b of the gathered set is bit i of chunk b
-    return sum(1 << i for i in range(size)
-               if sum((body >> b * size + i & 1) << b
-                      for b in range(d)) in opens)
+    # at assignment i, bit b of the gathered set is bit i of chunk b, which
+    # is character b * size + i of the body's binary text read backwards
+    bits = format(body, "b")[::-1].ljust(d * size, "0")
+    return _mask([int(bits[i:d * size:size][::-1], 2) in opens
+                  for i in range(size)])
+
+
+# the binary digit of each truth value, as a byte
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(truths: list[bool]) -> int:
+    """The mask whose bit i is truths[i], built in one linear pass: int
+    reads base 2 in linear time, free of the limit on digits."""
+    return int(bytes(truths)[::-1].translate(_DIGITS), 2)
 
 
 # the text of a connective's value, from its operands' variables and the

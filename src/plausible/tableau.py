@@ -32,7 +32,6 @@ copies it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -106,21 +105,6 @@ class Node:
     children: list["Node"] = field(default_factory=list)
     closed: bool = False
 
-    def to_json(self) -> dict:
-        """The tree below this node as nested dicts.  Built with an
-        explicit stack: a tree is as deep as its longest branch."""
-        root: dict = {}
-        stack = [(self, root)]
-        while stack:
-            node, doc = stack.pop()
-            doc["formula"] = render(node.formula) if node.formula else None
-            doc["rule"] = node.rule
-            doc["children"] = [{} for _ in node.children]
-            if not node.children:
-                doc["closed"] = node.closed
-            stack += zip(node.children, doc["children"])
-        return root
-
 
 @dataclass
 class ProveResult:
@@ -128,25 +112,46 @@ class ProveResult:
     tree: Node
     open_branch: Optional[list[Formula]] = None
 
+    def _preorder(self):
+        """(node, indent, index of its parent) for each tree node, in the
+        order to_text prints them: the root first, then each child's
+        subtree in turn.  Walked with a stack: a tree is as deep as its
+        longest branch."""
+        stack = [(self.tree, 0, None)]  # the first child pops first
+        index = 0
+        while stack:
+            node, indent, parent = stack.pop()
+            yield node, indent, parent
+            inner = indent + (1 if len(node.children) > 1 else 0)
+            stack += [(child, inner, index)
+                      for child in reversed(node.children)]
+            index += 1
+
     def to_json(self) -> dict:
-        doc = {"verdict": self.verdict, "tree": self.tree.to_json()}
+        """The verdict, the tree as a flat list of nodes, each listing its
+        children by index (node 0 is the root), and any open branch."""
+        nodes: list[dict] = []
+        for node, _, parent in self._preorder():
+            if parent is not None:
+                nodes[parent]["children"].append(len(nodes))
+            doc = {"formula": render(node.formula) if node.formula else None,
+                   "rule": node.rule, "children": []}
+            if not node.children:
+                doc["closed"] = node.closed
+            nodes.append(doc)
+        result = {"verdict": self.verdict, "nodes": nodes}
         if self.open_branch is not None:
-            doc["open_branch"] = [render(f) for f in self.open_branch]
-        return doc
+            result["open_branch"] = [render(f) for f in self.open_branch]
+        return result
 
     def to_text(self) -> str:
         lines: list[str] = []
-        stack = [(self.tree, 0)]  # the first child pops first
-        while stack:
-            node, indent = stack.pop()
+        for node, indent, _ in self._preorder():
             pad = "  " * indent
             label = render(node.formula) if node.formula else "-"
             lines.append(f"{pad}{label}  [{node.rule}]")
             if not node.children:
                 lines.append(f"{pad}{'x' if node.closed else 'o'}")
-            branch_indent = indent + (1 if len(node.children) > 1 else 0)
-            stack += ((child, branch_indent)
-                      for child in reversed(node.children))
         return "\n".join(lines)
 
     def __str__(self):
@@ -373,31 +378,3 @@ def prove(premises: Iterable[Formula], goal: Formula,
 def is_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
     """Tableau validity: the tableau for the negation closes."""
     return prove([], f, budget=budget).verdict == "closed"
-
-
-def result_to_json_text(result: ProveResult) -> str:
-    """``json.dumps(result.to_json(), indent=2, sort_keys=True)``, written
-    with an explicit stack: ``json`` takes frames per level of nesting,
-    and a tree is as deep as its longest branch."""
-    out = []
-    stack: list = [(result.to_json(), "\n")]  # text, or (value, indent)
-    while stack:
-        top = stack.pop()
-        if isinstance(top, str):
-            out.append(top)
-            continue
-        value, pad = top
-        if not value or not isinstance(value, (dict, list)):
-            out.append(json.dumps(value))
-            continue
-        if isinstance(value, dict):
-            brackets, items = "{}", [(json.dumps(key) + ": ", value[key])
-                                     for key in sorted(value)]
-        else:
-            brackets, items = "[]", [("", item) for item in value]
-        out.append(brackets[0])
-        stack.append(pad + brackets[1])
-        inner = pad + "  "
-        for i, (key, item) in reversed(list(enumerate(items))):
-            stack += [(item, inner), ("," if i else "") + inner + key]
-    return "".join(out)

@@ -77,7 +77,7 @@ def test_prove_json(capsys):
     assert run(["prove", "#p -> p", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "closed"
-    assert doc["tree"]["formula"] == "~(#p -> p)"
+    assert doc["nodes"][0]["formula"] == "~(#p -> p)"
 
 
 def test_prove_json_takes_a_branch_of_any_length(capsys):
@@ -91,13 +91,8 @@ def test_prove_json_takes_a_branch_of_any_length(capsys):
     assert len(opens) == 900
     assert run(["prove", text, "--json"]) == 1
     out = capsys.readouterr().out
-    # the standard decoder, unlike the command, takes frames per level
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10_000)
-    try:
-        doc = json.loads(out)
-    finally:
-        sys.setrecursionlimit(limit)
+    assert len(out) < 2_000_000
+    doc = json.loads(out)
     assert doc["verdict"] == "open"
     assert doc["open_branch"] == opens
 
@@ -245,9 +240,12 @@ def test_fol_eval_unbound_name_is_input_error_in_either_order(
      "'constants.c' must be an integer, got 0.0"),
     ({"domain_size": 2, "omega": [1, 3], "functions": {"f": [[0, 1], [5, 0]]}},
      "function f argument out of range"),
+    ({"domain_size": 2, "omega": [3], "functions": {"f": [[0, 1], [0, 0],
+                                                          [1, 0]]}},
+     "'functions.f' lists the argument (0,) twice"),
 ], ids=["domain-size-text", "top-level-list", "relation-not-a-list",
         "function-row-without-value", "constant-not-an-integer",
-        "function-argument-out-of-range"])
+        "function-argument-out-of-range", "function-argument-twice"])
 def test_fol_eval_rejects_malformed_models(tmp_path, capsys, doc, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -334,11 +332,13 @@ def small_model(tmp_path_factory):
 def test_exit_codes_hold_on_any_text(small_model, text):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        codes = {run(["parse", text]),
-                 run(["prove", text, "--budget", "200"]),
+        proved = run(["prove", text, "--budget", "200"])
+        proved_json = run(["prove", text, "--budget", "200", "--json"])
+        codes = {run(["parse", text]), proved,
                  run(["countermodel", text, "--max-atoms", "1"]),
                  run(["fol-eval", text, "--model", small_model])}
     assert codes <= {0, 1, 2, 3}
+    assert proved_json == proved
 
 
 def _holds_contract(argv, verdicts):

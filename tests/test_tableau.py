@@ -2,6 +2,7 @@ import copy
 import functools
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -11,8 +12,7 @@ from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, atoms, parse, render)
 from plausible.hilbert import instantiate
 from plausible.sampling import corpus, depth2_candidates, random_formula
-from plausible.tableau import (Branch, BudgetExceeded, is_valid, prove,
-                               result_to_json_text)
+from plausible.tableau import Branch, BudgetExceeded, is_valid, prove
 
 from conftest import CORPUS_SEED, CORPUS_SIZE, evaluate
 
@@ -177,14 +177,21 @@ def test_closure_is_detected_in_either_order():
 # ---------------------------------------------------------------------------
 # pinned trees and node charges
 #
-# The sha256 of result_to_json_text over the shared corpus followed by the
-# 1012 depth-2 axiom instances under #, and the smallest budget each listed
-# goal proves within.  Both were computed before rule selection became
-# incremental, under PYTHONHASHSEED 0 and 12345, and must not move with a
-# change of search bookkeeping.
+# The sha256 of the text `prove --json` prints (the flat node list) over
+# the shared corpus followed by the 1012 depth-2 axiom instances under #,
+# and the smallest budget each listed goal proves within.  The budgets were
+# computed before rule selection became incremental, the fingerprint when
+# the JSON tree became a flat node list, both under PYTHONHASHSEED 0 and
+# 12345; neither may move with a change of search bookkeeping.
 
 TREE_FINGERPRINT = \
-    "e9317d48928274186c9f0f09f950a6b7b5c1287b5d9309acb0f8537732c8539b"
+    "5cd089702001c57522c67564ee8b75452a2a1d03388e64fb9a93a2ab4d535323"
+
+# The sha256 of to_text over the same goals, computed before the JSON
+# format became a flat node list; it pins the trees independently of the
+# JSON format.
+TEXT_FINGERPRINT = \
+    "783200f1c1170e6b3a3d596256fbd7a2e5666bfe0f7bcfa736fb6d9316561c26"
 
 
 def _pinned_goals():
@@ -202,9 +209,13 @@ def _pinned_goals():
 def test_trees_are_pinned():
     goals = _pinned_goals()
     assert len(goals) == CORPUS_SIZE + 1012
-    h = hashlib.sha256()
+    h, t = hashlib.sha256(), hashlib.sha256()
     for f in goals:
-        h.update(result_to_json_text(prove([], f)).encode())
+        result = prove([], f)
+        h.update(json.dumps(result.to_json(), indent=2,
+                            sort_keys=True).encode())
+        t.update(result.to_text().encode())
+    assert t.hexdigest() == TEXT_FINGERPRINT
     assert h.hexdigest() == TREE_FINGERPRINT
 
 
@@ -231,7 +242,7 @@ def test_tree_serialization():
     result = prove([], parse("#p -> p"))
     doc = result.to_json()
     assert doc["verdict"] == "closed"
-    node = doc["tree"]
+    node = doc["nodes"][0]
     assert node["formula"] == "~(#p -> p)"
     assert node["rule"] == "negated-goal"
     text = result.to_text()
