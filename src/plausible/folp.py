@@ -41,10 +41,11 @@ the same text and share one local.  Connectives, ``forall``, ``exists``
 and ``P`` on a sentence are inline bit operations; atoms, free names and
 ``P`` under a binder call small helpers that raise ``EvaluationError``
 where the run reaches them.  A relation whose arguments are all bound
-names has a mask that depends on its table alone, so it is memoised per
-table; a wrong arity raises on each call, as a cache keeps no error.
-That memo alone is gated by width: it skips scopes of more than 2^16
-assignments.  Building a structure checks each relation table once per
+names has a mask that depends on its table alone, so the program hands
+the structure's table, or None, straight to a memo; a wrong arity raises
+on each call, as a cache keeps no error.  That memo alone is gated by
+width: it skips scopes of more than 2^16 assignments.  Building a
+structure stores each relation table as a frozenset, checked once per
 (domain size, table, name), as ``pseudotopology`` checks each family
 once, so structures that share tables share the check.  ``check_axioms``
 returns one shared ``AxiomReport`` per tuple of verdicts.
@@ -174,11 +175,14 @@ class PlausibleStructure:
         if not verdict.ok:
             raise ValueError(f"invalid opens-family: {verdict.axiom}")
         for name, table in self.relations.items():
-            try:
-                table = frozenset(table)
-            except TypeError:  # not an iterable of hashable rows
-                raise ValueError(f"relation {name} rows must be tuples of "
-                                 "integers") from None
+            if type(table) is not frozenset:  # keep the table as checked
+                try:
+                    table = frozenset(table)
+                except TypeError:  # not an iterable of hashable rows
+                    raise ValueError(f"relation {name} rows must be tuples "
+                                     "of integers") from None
+                object.__setattr__(self, "relations",
+                                   {**self.relations, name: table})
             _check_table(self.domain_size, table, id(table), name)
         for name, graph in self.functions.items():
             if not all(isinstance(t, tuple) and all(map(_is_int, t))
@@ -315,22 +319,13 @@ def _relation(relations: dict, name: str, size: int, *args) -> int:
                   for row in (zip(*args) if args else [()] * size)])
 
 
-def _bound_relation(relations: dict, name: str, d: int, k: int,
-                    digits: tuple[int, ...]) -> int:
+@functools.lru_cache(maxsize=1024)
+def _relation_mask(table: Optional[frozenset], name: str, d: int, k: int,
+                   digits: tuple[int, ...]) -> int:
     """``_relation`` where every argument is a bound name, given by its
     digit position in a scope of k names: the mask depends only on the
-    table, so ``_relation_mask`` memoises it, raising as ``_relation`` does."""
-    table = relations.get(name)
-    if not table:
-        return 0
-    return _relation_mask(frozenset(table), name, d, k, digits)
-
-
-@functools.lru_cache(maxsize=1024)
-def _relation_mask(table: frozenset, name: str, d: int, k: int,
-                   digits: tuple[int, ...]) -> int:
-    """The mask of ``_relation`` on bound names.  A wrong arity raises
-    EvaluationError on every call: the cache stores no error."""
+    table (None when there is none), so it is memoised.  A wrong arity
+    raises EvaluationError on every call: the cache stores no error."""
     return _relation({name: table}, name, d ** k,
                      *(_column(d, k, j) for j in digits))
 
@@ -404,8 +399,9 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
     equal texts are equal values; each global ``k<j>`` is one distinct
     name.  So a program holds only text, names and small integers, and
     every program is cached: digit columns (``_column``) and masks wider
-    than 128 bits (``((1 << size) - 1)``) are built as it runs.  The
-    relation memo alone is gated by width (``_MAX_CACHED_ASSIGNMENTS``).
+    than 128 bits (``((1 << size) - 1)``) are built as it runs.  A
+    relation on bound names reads ``_relation_mask`` of its stored table,
+    the one memo gated by width (``_MAX_CACHED_ASSIGNMENTS``).
     A scope of more than ``_MAX_ASSIGNMENTS`` assignments raises
     EvaluationError here, before any value of that width is built."""
     consts: dict[str, str] = {}  # name -> its global
@@ -431,8 +427,8 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
         elif isinstance(g, Rel) and size <= _MAX_CACHED_ASSIGNMENTS and all(
                 isinstance(a, Name) and a.name in scope for a in g.args):
             digits = tuple(scope.index(a.name) for a in g.args)
-            value = (f"_bound_relation(relations, {const(g.name)}, {d}, "
-                     f"{len(scope)}, {digits})")
+            value = (f"_relation_mask(relations.get({const(g.name)}), "
+                     f"{const(g.name)}, {d}, {len(scope)}, {digits})")
         elif isinstance(g, (App, Rel)):
             args = "".join(f", {emit(a, scope, True)}" for a in g.args)
             value = (f"_function(functions, {const(g.func)}, {size}{args})"
@@ -473,7 +469,7 @@ def _compiled(formulas: tuple[Formula, ...], d: int):
         *(f"    {local} = {value}" for value, local in assigned.items()),
         f"    return ({''.join(f'{local}, ' for local in results)})"])
     namespace = {helper.__name__: helper for helper in (
-        _name, _column, _relation, _bound_relation, _function, _equal,
+        _name, _column, _relation, _relation_mask, _function, _equal,
         _plausible)}
     namespace.update((name, value) for value, name in consts.items())
     exec(compile(source, "<folp program>", "exec"), namespace)

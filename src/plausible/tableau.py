@@ -26,8 +26,8 @@ the only record kept is one cursor per class and branch, moved past each
 formula the class has passed over or fired on; no step rescans the
 branch.  The R6 pair form (R6P) splits on biconditionals that need not be
 branch members; it is tried last and keeps the set of links it has used.
-A one-successor step extends its branch in place; only a branching step
-copies it.
+One loop develops every branch, the successors still to grow waiting on
+a stack; a step with n successors copies its branch n - 1 times.
 """
 
 from __future__ import annotations
@@ -333,27 +333,27 @@ def _grow(branch: Branch, leaf: Optional[Node], rule: str,
 def _develop(branch: Branch, leaf: Optional[Node],
              ctx: _Context) -> Optional[Branch]:
     """Expand the branch until no rule fires, growing the tree under leaf
-    unless it is None.  Returns the leftmost branch that stays open, or
-    None when all close."""
-    while not branch.closed:
-        hit = _select(branch, ctx)
-        if hit is None:
-            return branch
-        rule, successors = hit
-        if len(successors) == 1:
-            leaf = _grow(branch, leaf, rule, successors[0], ctx)
-            continue
-        # one stack frame per level of branching; all() over a generator
-        # would add frames per level and cut the depth prove handles
-        for added in successors:
-            sub = branch.copy()
-            found = _develop(sub, _grow(sub, leaf, rule, added, ctx), ctx)
-            if found is not None:
-                return found  # leftmost open branch is the certificate
-        return None
-    if leaf is not None:
-        leaf.closed = True
-    return None
+    unless it is None; return the leftmost open branch, or None if all
+    close.  Successors n..2 of a step wait on a stack, the last with the
+    branch as it is, the others with copies; the first grows on a copy."""
+    waiting = []  # (branch, leaf, rule, added), the next to grow on top
+    while True:
+        if branch.closed:
+            if leaf is not None:
+                leaf.closed = True
+            if not waiting:
+                return None
+            branch, leaf, rule, added = waiting.pop()
+        else:
+            hit = _select(branch, ctx)
+            if hit is None:
+                return branch  # leftmost open branch is the certificate
+            rule, successors = hit
+            for later in reversed(successors[1:]):
+                waiting.append((branch, leaf, rule, later))
+                branch = branch.copy()
+            added = successors[0]
+        leaf = _grow(branch, leaf, rule, added, ctx)
 
 
 def prove(premises: Iterable[Formula], goal: Formula,

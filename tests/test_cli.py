@@ -80,21 +80,32 @@ def test_prove_json(capsys):
     assert doc["nodes"][0]["formula"] == "~(#p -> p)"
 
 
+def _balanced_conjunction(parts: list[str]) -> str:
+    while len(parts) > 1:
+        parts = [f"({a} & {b})" for a, b in zip(parts[::2], parts[1::2])] \
+            + parts[len(parts) // 2 * 2:]
+    return parts[0]
+
+
 def test_prove_json_takes_a_branch_of_any_length(capsys):
-    # each formula the rules add hangs under the one before it, so this
-    # tree is as deep as its 900-formula open branch
-    text = "~(" + " & ".join(f"p{i}" for i in range(450)) + ")"
-    assert run(["prove", text]) == 1
-    opens = [line.removeprefix("  open: ")
-             for line in capsys.readouterr().out.splitlines()
-             if line.startswith("  open: ")]
-    assert len(opens) == 900
-    assert run(["prove", text, "--json"]) == 1
-    out = capsys.readouterr().out
-    assert len(out) < 2_000_000
-    doc = json.loads(out)
-    assert doc["verdict"] == "open"
-    assert doc["open_branch"] == opens
+    # each formula the rules add hangs under the one before it, so each
+    # tree is as deep as its open branch; the second text nests 13 levels
+    # deep, yet its open branch passes 1100 branchings
+    for text, length in [
+            ("~(" + " & ".join(f"p{i}" for i in range(450)) + ")", 900),
+            ("~" + _balanced_conjunction([f"(p{i} | q{i})"
+                                          for i in range(1100)]), 3300)]:
+        assert run(["prove", text]) == 1
+        opens = [line.removeprefix("  open: ")
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  open: ")]
+        assert len(opens) == length
+        assert run(["prove", text, "--json"]) == 1
+        out = capsys.readouterr().out
+        assert len(out) < 2_000_000
+        doc = json.loads(out)
+        assert doc["verdict"] == "open"
+        assert doc["open_branch"] == opens
 
 
 def test_prove_budget_exit_code(capsys):

@@ -243,6 +243,12 @@ def test_relation_tables_are_checked_on_every_construction():
     M = PlausibleStructure(2, {"R": {(1,)}}, {}, {}, omega)
     assert satisfies(M, parse_fo("R(x)"), {"x": 1})
     assert not satisfies(M, parse_fo("P x. R(x)"))
+    # so is a generator, which the check reads to its end: the structure
+    # keeps the table it checked
+    M = PlausibleStructure(2, {"R": ((i,) for i in range(2))}, {}, {},
+                           PseudoTopology(2, {3}))
+    assert satisfies(M, parse_fo("forall x. R(x)"))
+    assert M.relations == {"R": frozenset([(0,), (1,)])}
 
 
 @pytest.mark.parametrize("relations, functions, constants, message", [

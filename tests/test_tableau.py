@@ -155,10 +155,10 @@ def test_branching_step_leaves_the_parent_untouched(start):
 
 def test_deep_goals_stay_within_the_stack():
     # a nested validity test costs four stack frames and a level of
-    # branching one, so prove decides both goals under pytest's stack
+    # branching none, so prove decides both goals under pytest's stack
     assert prove([], parse("#" * 200 + "p")).verdict == "open"
     goal = Not(functools.reduce(And, [Or(Atom(f"p{i}"), Atom(f"q{i}"))
-                                      for i in range(800)]))
+                                      for i in range(1200)]))
     assert prove([], goal, budget=10 ** 6).verdict == "open"
 
 
