@@ -27,38 +27,39 @@ algebra, and the atoms and #-subformulas of the formula are its units.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .formula import (And, Atom, Bottom, Formula, Iff, Implies, Nabla, Not,
                       Or, Top, atoms)
-from .pseudotopology import box, frames
+from .pseudotopology import _is_int, _record, box, frames
 
 MAX_ATOMS = 3
 
 Valuation = dict[str, int]
 
 
-@dataclass(frozen=True)
-class PlausibleAlgebra:
+class PlausibleAlgebra(_record("n_atoms successors")):
     """The algebra of a reflexive relation on the worlds 0..n_atoms-1:
     ``successors[w]`` is the bitmask of the worlds v with w R v, and must
     contain w itself.  ``sharp[a]`` is the set of worlds all of whose
     successors lie in a, so a1, a2 and a4 hold by construction and a3 by
-    reflexivity."""
-    n_atoms: int
-    successors: tuple[int, ...]
+    reflexivity.  The fields are checked before the record is built, and
+    successors is stored as a tuple."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, successors = self.n_atoms, tuple(self.successors)
-        if len(successors) != n or any(
-                not 0 <= s < 1 << n or not s >> w & 1
-                for w, s in enumerate(successors)):
-            raise ValueError(f"successors must list {n} masks in "
-                             f"0..{(1 << n) - 1}, each containing its own "
-                             f"world")
+    def __new__(cls, n_atoms: int, successors):
+        if not _is_int(n_atoms) or n_atoms < 0:
+            raise ValueError(f"n_atoms must be a non-negative integer, "
+                             f"got {n_atoms!r}")
         # a list would make the algebra unhashable
-        object.__setattr__(self, "successors", successors)
+        successors = tuple(successors)
+        if len(successors) != n_atoms or any(
+                not _is_int(s) or not 0 <= s < 1 << n_atoms
+                or not s >> w & 1 for w, s in enumerate(successors)):
+            raise ValueError(f"successors must list {n_atoms} masks in "
+                             f"0..{(1 << n_atoms) - 1}, each containing its "
+                             f"own world")
+        return tuple.__new__(cls, (n_atoms, successors))
 
     @property
     def sharp(self) -> tuple[int, ...]:

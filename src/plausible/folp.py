@@ -27,28 +27,24 @@ set gathered from the chunks is open.  Time is O(d^k) per atom, as for an
 interpreter that tries one assignment at a time, but where such an
 interpreter holds O(k) values, each value here holds d^k bits or
 elements, k the binder depth; a scope of more than 2^20 assignments
-raises ``EvaluationError`` before anything is run.  A program holds only
-its text, names and small integers, so every program is cached whatever
-its width, and the values it builds live only while it runs.
+raises ``EvaluationError`` before anything is run.
 
-The walk goes children first and assigns each distinct value to one
-local, keyed by the text it assigns, with sizes, digit positions and
-chunk shifts written in as integers and the mask of all assignments as
-``((1 << size) - 1)``.  Names enter as globals of the function, never as
-source text.  A bound name reads as ``_column`` of its digit position, so
-alpha-equivalent nodes, such as ``P x. R(x)`` and ``P y. R(y)``, assign
-the same text and share one local.  Connectives, ``forall``, ``exists``
-and ``P`` on a sentence are inline bit operations; atoms, free names and
+Each distinct value is assigned to one local of the program, with sizes,
+digit positions and chunk shifts written in as integers and names as
+globals, never as source text.  A bound name reads as ``_column`` of its
+digit position, so alpha-equivalent nodes, such as ``P x. R(x)`` and
+``P y. R(y)``, share one local.  Connectives, ``forall``, ``exists`` and
+``P`` on a sentence are inline bit operations; atoms, free names and
 ``P`` under a binder call small helpers that raise ``EvaluationError``
-where the run reaches them.  A relation whose arguments are all bound
-names has a mask that depends on its table alone, so the program hands
-the structure's table, or None, straight to a memo; a wrong arity raises
-on each call, as a cache keeps no error.  That memo alone is gated by
-width: it skips scopes of more than 2^16 assignments.  Building a
-structure stores each relation table as a frozenset, checked once per
-(domain size, table, name), as ``pseudotopology`` checks each family
-once, so structures that share tables share the check.  ``check_axioms``
-returns one shared ``AxiomReport`` per tuple of verdicts.
+where the run reaches them.  The mask of a relation on bound names
+depends on its table alone, so it is memoised (``_relation_mask``).
+``check_axioms`` returns one shared ``AxiomReport`` per tuple of verdicts.
+
+A structure checks every field before it is built, and holds read-only
+copies of its tables, so a caller's later edit of a dict it passed in
+changes nothing.  Each relation table is kept as a frozenset, checked
+once per (domain size, table, name), as ``pseudotopology`` checks each
+family once, so structures that share tables share the check.
 """
 
 from __future__ import annotations
@@ -57,12 +53,13 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 from . import formula, pseudotopology
 from .formula import (BINARY, And, Binder, Bottom, Formula, Iff, Implies,
                       Not, Or, Top, render)
-from .pseudotopology import PseudoTopology, _is_int
+from .pseudotopology import PseudoTopology, _is_int, _record
 
 
 # ---------------------------------------------------------------------------
@@ -155,36 +152,29 @@ class EvaluationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlausibleStructure:
-    domain_size: int
-    relations: dict[str, frozenset[tuple[int, ...]]]
-    functions: dict[str, dict[tuple[int, ...], int]]
-    constants: dict[str, int]
-    omega: PseudoTopology
+class PlausibleStructure(_record(
+        "domain_size relations functions constants omega")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        size = self.domain_size
-        if not _is_int(size) or size < 1:
+    def __new__(cls, domain_size: int, relations: dict, functions: dict,
+                constants: dict, omega: PseudoTopology):
+        if not _is_int(domain_size) or domain_size < 1:
             raise ValueError(f"domain_size must be a positive integer, "
-                             f"got {size!r}")
-        omega = self.omega
-        if omega.universe_size != self.domain_size:
+                             f"got {domain_size!r}")
+        if omega.universe_size != domain_size:
             raise ValueError("opens-family universe must match the domain")
-        verdict = pseudotopology.validate(omega)
-        if not verdict.ok:
+        if not (verdict := pseudotopology.validate(omega)):
             raise ValueError(f"invalid opens-family: {verdict.axiom}")
-        for name, table in self.relations.items():
-            if type(table) is not frozenset:  # keep the table as checked
-                try:
-                    table = frozenset(table)
-                except TypeError:  # not an iterable of hashable rows
-                    raise ValueError(f"relation {name} rows must be tuples "
-                                     "of integers") from None
-                object.__setattr__(self, "relations",
-                                   {**self.relations, name: table})
-            _check_table(self.domain_size, table, id(table), name)
-        for name, graph in self.functions.items():
+        tables = {}
+        for name, table in relations.items():
+            try:  # a frozenset comes back as itself, its id kept
+                tables[name] = table = frozenset(table)
+            except TypeError:  # not an iterable of hashable rows
+                raise ValueError(f"relation {name} rows must be tuples of "
+                                 "integers") from None
+            _check_table(domain_size, table, id(table), name)
+        graphs = {}
+        for name, graph in functions.items():
             if not all(isinstance(t, tuple) and all(map(_is_int, t))
                        for t in graph) or not all(map(_is_int,
                                                       graph.values())):
@@ -194,20 +184,22 @@ class PlausibleStructure:
             if len(arities) != 1:
                 raise ValueError(f"function {name} graph must be total and "
                                  "of one arity")
-            if any(not 0 <= v < self.domain_size for t in graph for v in t):
+            if any(not 0 <= v < domain_size for t in graph for v in t):
                 raise ValueError(f"function {name} argument out of range")
-            arity = arities.pop()
-            expected = self.domain_size ** arity
-            if len(graph) != expected:
+            if len(graph) != domain_size ** arities.pop():
                 raise ValueError(f"function {name} graph is not total")
-            if any(not 0 <= v < self.domain_size for v in graph.values()):
+            if any(not 0 <= v < domain_size for v in graph.values()):
                 raise ValueError(f"function {name} value out of range")
-        for name, v in self.constants.items():
+            graphs[name] = MappingProxyType(dict(graph))
+        for name, v in constants.items():
             if not _is_int(v):
                 raise ValueError(f"constant {name} must be an integer, "
                                  f"got {v!r}")
-            if not 0 <= v < self.domain_size:
+            if not 0 <= v < domain_size:
                 raise ValueError(f"constant {name} out of range")
+        return tuple.__new__(cls, (
+            domain_size, MappingProxyType(tables), MappingProxyType(graphs),
+            MappingProxyType(dict(constants)), omega))
 
     def to_json(self) -> dict:
         return {
@@ -237,7 +229,7 @@ class PlausibleStructure:
         omega = doc["omega"]
         if not isinstance(omega, list) or not all(map(_is_int, omega)):
             raise ValueError("'omega' must be a list of integers")
-        relations = {name: frozenset(_json_rows(table, f"relations.{name}"))
+        relations = {name: _json_rows(table, f"relations.{name}")
                      for name, table in _json_object(doc, "relations").items()}
         functions = {}
         for name, graph in _json_object(doc, "functions").items():
@@ -257,8 +249,8 @@ class PlausibleStructure:
                 raise ValueError(f"'constants.{name}' must be an integer, "
                                  f"got {value!r}")
         return cls(domain_size=size, relations=relations,
-                   functions=functions, constants=dict(constants),
-                   omega=PseudoTopology(size, frozenset(omega)))
+                   functions=functions, constants=constants,
+                   omega=PseudoTopology(size, omega))
 
 
 @functools.lru_cache(maxsize=256)

@@ -15,6 +15,7 @@ such a relation, and the box map is its sharp table.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -23,24 +24,29 @@ from typing import Iterator, Optional
 MAX_UNIVERSE = 4
 
 
-@dataclass(frozen=True)
-class PseudoTopology:
-    universe_size: int
-    opens: frozenset[int]
+def _record(fields: str):
+    """A namedtuple base whose ``_make`` and ``_replace`` call ``cls``."""
+    base = collections.namedtuple("_Record", fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
-    def __post_init__(self):
-        size = self.universe_size
-        if not _is_int(size) or size < 1:
+
+class PseudoTopology(_record("universe_size opens")):
+    """A space on the points 0..universe_size-1, its opens a frozenset of
+    bitmasks.  The fields are checked, and the opens coerced, before the
+    record is built; ``validate`` judges whether the family is a space."""
+    __slots__ = ()
+
+    def __new__(cls, universe_size: int, opens):
+        if not _is_int(universe_size) or universe_size < 1:
             raise ValueError(f"universe_size must be a positive integer, "
-                             f"got {size!r}")
-        # a plain set would make the space unhashable
-        if type(self.opens) is not frozenset:
-            try:
-                opens = frozenset(self.opens)
-            except TypeError:  # not an iterable of hashable members
-                raise ValueError(f"opens must be integers, got "
-                                 f"{self.opens!r}") from None
-            object.__setattr__(self, "opens", opens)
+                             f"got {universe_size!r}")
+        try:  # a plain set would make the space unhashable
+            opens = frozenset(opens)
+        except TypeError:  # not an iterable of hashable members
+            raise ValueError(f"opens must be integers, got "
+                             f"{opens!r}") from None
+        return tuple.__new__(cls, (universe_size, opens))
 
     def to_json(self) -> dict:
         return {"universe_size": self.universe_size, "opens": sorted(self.opens)}

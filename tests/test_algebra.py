@@ -117,10 +117,15 @@ def test_algebra_record_checks_its_relation():
     # a list is stored as a tuple, so the record hashes
     assert alg.successors == (3, 2)
     assert hash(alg) == hash(PlausibleAlgebra(2, (3, 2)))
-    # not reflexive at world 0, then world 1; out of range; wrong length
-    for n, successors in ((1, [0]), (2, [1, 1]), (1, [3]), (2, [1, 2, 4])):
-        with pytest.raises(ValueError, match="successors"):
+    # not reflexive at world 0, then world 1; out of range; wrong length;
+    # a mask that is not an integer (a bool is not one either)
+    for n, successors in ((1, [0]), (2, [1, 1]), (1, [3]), (2, [1, 2, 4]),
+                          (2, (1.0, 3)), (2, ("1", 3)), (2, (True, 3))):
+        with pytest.raises(ValueError, match=f"^successors must list {n} "):
             PlausibleAlgebra(n, successors)
+    with pytest.raises(ValueError, match="^n_atoms must be a non-negative "
+                                         "integer, got True$"):
+        PlausibleAlgebra(True, (1,))
 
 
 def test_evaluate_examples():

@@ -251,6 +251,31 @@ def test_relation_tables_are_checked_on_every_construction():
     assert M.relations == {"R": frozenset([(0,), (1,)])}
 
 
+def test_a_structure_holds_read_only_copies_of_its_tables():
+    relations = {"R": frozenset({(0,)})}
+    functions = {"f": {(0,): 1, (1,): 0}}
+    constants = {"c": 0}
+    M = PlausibleStructure(2, relations, functions, constants,
+                           PseudoTopology(2, {3}))
+    sentences = [parse_fo(text) for text in (
+        "exists x. R(x)", "forall x. R(x)", "R(f(c))", "f(c) = c",
+        "exists x. S(x)")]
+    doc, verdicts = M.to_json(), [satisfies(M, f) for f in sentences]
+    # the caller's dicts change afterwards, the structure does not: an
+    # out-of-range row, an unhashable table, a new graph entry, a constant
+    relations["R"] = frozenset({(0,), (1,), (7,)})
+    relations["S"] = [(0,)]
+    functions["f"][(0,)] = 0
+    constants["c"] = 1
+    assert M.to_json() == doc
+    assert [satisfies(M, f) for f in sentences] == verdicts
+    assert M.relations is not relations
+    for table in (M.relations, M.functions, M.functions["f"], M.constants):
+        with pytest.raises(TypeError):
+            table["R"] = frozenset()
+    assert M.to_json() == doc
+
+
 @pytest.mark.parametrize("relations, functions, constants, message", [
     ({"R": {("a",)}}, {}, {}, "relation R rows"),
     ({"Q": {1, 2}}, {}, {}, "relation Q rows"),

@@ -76,6 +76,20 @@ def test_a_set_of_opens_becomes_a_frozenset():
     assert len({from_set, from_frozenset}) == 1
 
 
+def test_a_space_is_immutable_and_every_copy_is_checked():
+    s = space(2, [1, 3])
+    with pytest.raises(AttributeError):
+        s.opens = frozenset([0])
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    # _replace builds a new record through the same checks
+    assert s._replace(opens={3}) == space(2, [3])
+    with pytest.raises(ValueError, match="^opens must be integers"):
+        s._replace(opens=5)
+    with pytest.raises(ValueError, match="^universe_size must be"):
+        PseudoTopology._make([0, {1}])
+
+
 @pytest.mark.parametrize("size", [True, 0, -1, "2", None])
 def test_universe_size_must_be_a_positive_integer(size):
     with pytest.raises(ValueError, match="^universe_size must be a positive "
