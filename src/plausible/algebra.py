@@ -88,8 +88,9 @@ def enumerate_algebras(n_atoms: int) -> Iterator[PlausibleAlgebra]:
     out of range raises ValueError at the call, before any algebra is
     built.
     """
-    if not 0 <= n_atoms <= MAX_ATOMS:
-        raise ValueError(f"n_atoms must be in 0..{MAX_ATOMS}, got {n_atoms}")
+    if not _is_int(n_atoms) or not 0 <= n_atoms <= MAX_ATOMS:
+        raise ValueError(f"n_atoms must be in 0..{MAX_ATOMS}, "
+                         f"got {n_atoms!r}")
     return iter(_algebras(n_atoms))
 
 
@@ -234,8 +235,9 @@ def find_countermodel(f: Formula, max_atoms: int = MAX_ATOMS
     where some world fails, found block by block in ascending order, is the
     witness a loop over tables, then valuations, finds.
     """
-    if not 1 <= max_atoms <= MAX_ATOMS:
-        raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
+    if not _is_int(max_atoms) or not 1 <= max_atoms <= MAX_ATOMS:
+        raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}, "
+                         f"got {max_atoms!r}")
     names = sorted(atoms(f))
     units = [Atom(name) for name in names]
     k = len(names)

@@ -52,7 +52,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Optional
 
@@ -493,8 +492,7 @@ def satisfies(M: PlausibleStructure, f: Formula,
     return bool(value)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_record("a1 a2 a3 a4 a5 a6")):
     """Verdicts for six quantifier schemas on one instance pair.
 
     a1-a4 and a6 are axioms of the logic of the plausible. a5 is the
@@ -506,12 +504,7 @@ class AxiomReport:
     conjunction / disjunction inside the quantifier (the printed forms nest
     a quantified sentence inside its own matrix, which cannot be what is
     meant)."""
-    a1: bool
-    a2: bool
-    a3: bool
-    a4: bool
-    a5: bool
-    a6: bool
+    __slots__ = ()
 
 
 def check_axioms(M: PlausibleStructure, phi: Formula, psi: Formula,
@@ -565,9 +558,10 @@ def unary_structures(max_domain: int) -> Iterator[PlausibleStructure]:
     max_domain and two unary relations R and S, domain by domain, in
     ``enumerate_spaces`` order, then by the bitmasks of R and S.  A
     max_domain out of range raises ValueError at the call."""
-    if not 1 <= max_domain <= pseudotopology.MAX_UNIVERSE:
-        raise ValueError(f"max_domain must be in "
-                         f"1..{pseudotopology.MAX_UNIVERSE}, got {max_domain}")
+    if not _is_int(max_domain) \
+            or not 1 <= max_domain <= pseudotopology.MAX_UNIVERSE:
+        raise ValueError(f"max_domain must be in 1.."
+                         f"{pseudotopology.MAX_UNIVERSE}, got {max_domain!r}")
     tables = {d: [frozenset((i,) for i in range(d) if m >> i & 1)
                   for m in range(1 << d)] for d in range(1, max_domain + 1)}
     return (PlausibleStructure(d, {"R": r, "S": s}, {}, {}, omega)

@@ -18,15 +18,15 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 MAX_UNIVERSE = 4
 
 
-def _record(fields: str):
-    """A namedtuple base whose ``_make`` and ``_replace`` call ``cls``."""
-    base = collections.namedtuple("_Record", fields)
+def _record(fields: str, defaults=()):
+    """A namedtuple base whose ``_make`` and ``_replace`` call ``cls``;
+    defaults, if given, are those of the last fields."""
+    base = collections.namedtuple("_Record", fields, defaults=defaults)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
 
@@ -56,11 +56,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    axiom: Optional[str] = None
-    witness: Optional[tuple] = None
+class Verdict(_record("ok axiom witness", (None, None))):
+    """Whether a family passed, and if not the first axiom it fails and
+    the opens that show it; true exactly when ok is."""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -141,8 +140,8 @@ def enumerate_spaces(universe_size: int) -> Iterator[PseudoTopology]:
     exclusion before inclusion.  A universe_size out of range raises
     ValueError at the call, before any space is built.
     """
-    if not 1 <= universe_size <= MAX_UNIVERSE:
+    if not _is_int(universe_size) or not 1 <= universe_size <= MAX_UNIVERSE:
         # the empty universe has no space: E3 and E4 would conflict
         raise ValueError(f"universe_size must be in 1..{MAX_UNIVERSE}, "
-                         f"got {universe_size}")
+                         f"got {universe_size!r}")
     return iter(_spaces(universe_size))

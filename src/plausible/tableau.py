@@ -16,23 +16,31 @@ A branch closes on falsum or on a syntactic pair A, ~A.  Saturation
 terminates because every rule is applied at most once per formula per
 branch and all derived formulas live in a finite closure of the inputs.
 
-Rule choice: ``_RULES`` lists six rule classes in priority order: the
-non-branching classical rules, R1, R2, R5A/R5B, R4, and the branching
-rules (classical, R3 and R6).  A step fires the first class that applies,
-on the earliest formula it applies to.  Within a class the rule shapes
-exclude each other, and a formula the class passes over never fires for
-it later on the branch.  So each formula fires at most once per class, and
-the only record kept is one cursor per class and branch, moved past each
-formula the class has passed over or fired on; no step rescans the
-branch.  The R6 pair form (R6P) splits on biconditionals that need not be
-branch members; it is tried last and keeps the set of links it has used.
-One loop develops every branch, the successors still to grow waiting on
-a stack; a step with n successors copies its branch n - 1 times.
+Rule choice: six rule classes in priority order, the non-branching
+classical rules, R1, R2, R5A/R5B, R4, and the branching rules (classical,
+R3 and R6).  A step fires the first class that applies, on the earliest
+formula it applies to.  The classes that can fire on a formula depend on
+its shape alone: its connective, then the one under a ~, then the one
+under a ~#.  ``Branch.add`` looks each new formula up once in the table
+``_SHAPES`` and queues it, with the handler the table gives, for each of
+those classes.  A handler that returns None has done nothing but a
+nested validity test (R2's, or the one that sends a biconditional to the
+iff rule or to R6).  So the handlers make the same calls, in the same
+order, with the same charges, as trying every class on every formula:
+only the calls that could do nothing are gone.
+Within a class the shapes exclude each other, and a formula the class
+passes over never fires for it later on the branch.  So each class keeps
+one cursor into its queue, moved past each formula it has passed over or
+fired on; no step rescans the branch.  The R6 pair form (R6P) splits on
+biconditionals that need not be branch members, between the #-arguments
+the branch lists in order of appearance; it is tried last and keeps the
+set of links it has used.  One loop develops every branch, the
+successors still to grow waiting on a stack; a step with n successors
+copies its branch n - 1 times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .formula import (And, Bottom, Formula, Iff, Implies, Nabla, Not, Or,
@@ -53,33 +61,52 @@ class Branch:
     """Ordered set of formulas with the state of rule selection.
 
     negated holds A for each member ~A, so that add finds a pair A, ~A
-    without building a node.  cursors[k] is the position before which no
-    formula can fire for the rule class _RULES[k]; links holds the
+    without building a node.  queues[k] lists, in branch order, a
+    (node, handler) pair for each member the rule class k can fire on,
+    and cursors[k] is the position in it before which nothing can fire.
+    arguments lists A for each member #A or ~#A, and links holds the
     biconditionals the R6 pair form has split on.
     """
 
-    __slots__ = ("formulas", "members", "negated", "closed", "cursors",
-                 "links")
+    __slots__ = ("formulas", "members", "negated", "closed", "queues",
+                 "cursors", "arguments", "links")
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         self.formulas: list[Formula] = []
         self.members: set[Formula] = set()
         self.negated: set[Formula] = set()
         self.closed = False
-        self.cursors = [0] * len(_RULES)
+        self.queues: list[list] = [[] for _ in range(_CLASSES)]
+        self.cursors = [0] * _CLASSES
+        self.arguments: list[Formula] = []
         self.links: set[Formula] = set()
         for f in formulas:
             self.add(f)
 
     def add(self, f: Formula) -> None:
-        if f not in self.members:
-            self.formulas.append(f)
-            self.members.add(f)
-            if isinstance(f, Not):
-                self.negated.add(f.child)
-            if isinstance(f, Bottom) or f in self.negated \
-                    or (isinstance(f, Not) and f.child in self.members):
+        if f in self.members:
+            return
+        self.formulas.append(f)
+        self.members.add(f)
+        if f in self.negated or type(f) is Bottom:
+            self.closed = True
+        # node is what the handlers of the shape read
+        node, shape, unlisted = f, type(f), ()
+        if shape is Not:
+            node = f.child
+            self.negated.add(node)
+            if node in self.members:
                 self.closed = True
+            shape = (Not, type(node))
+            if shape[1] is Nabla:
+                node = node.child
+                # A comes twice only if #A and ~#A close the branch
+                self.arguments.append(node)
+                shape, unlisted = (Not, Nabla, type(node)), _R2_ONLY
+        elif shape is Nabla:
+            self.arguments.append(node.child)
+        for k, handler in _SHAPES.get(shape, unlisted):
+            self.queues[k].append((node, handler))
 
     def copy(self) -> "Branch":
         new = Branch.__new__(Branch)
@@ -87,7 +114,9 @@ class Branch:
         new.members = set(self.members)
         new.negated = set(self.negated)
         new.closed = self.closed
+        new.queues = [list(queue) for queue in self.queues]
         new.cursors = list(self.cursors)
+        new.arguments = list(self.arguments)
         new.links = set(self.links)
         return new
 
@@ -98,19 +127,28 @@ class Branch:
 # ---------------------------------------------------------------------------
 # proof trees
 
-@dataclass
 class Node:
-    formula: Optional[Formula]
-    rule: str
-    children: list["Node"] = field(default_factory=list)
-    closed: bool = False
+    """A formula of a proof tree and the rule that added it."""
+
+    __slots__ = ("formula", "rule", "children", "closed")
+
+    def __init__(self, formula: Optional[Formula], rule: str):
+        self.formula = formula
+        self.rule = rule
+        self.children: list[Node] = []
+        self.closed = False
 
 
-@dataclass
 class ProveResult:
-    verdict: str                      # "closed" | "open"
-    tree: Node
-    open_branch: Optional[list[Formula]] = None
+    """The verdict ("closed" or "open"), the tree and any open branch."""
+
+    __slots__ = ("verdict", "tree", "open_branch")
+
+    def __init__(self, verdict: str, tree: Node,
+                 open_branch: Optional[list[Formula]] = None):
+        self.verdict = verdict
+        self.tree = tree
+        self.open_branch = open_branch
 
     def _preorder(self):
         """(node, indent, index of its parent) for each tree node, in the
@@ -183,127 +221,86 @@ def _is_valid_nested(f: Formula, ctx: _Context) -> bool:
     return ctx.memo[f]
 
 
-def _denied(f: Formula) -> Optional[Formula]:
-    """A for a formula ~#A, else None."""
-    if isinstance(f, Not) and isinstance(f.child, Nabla):
-        return f.child.child
-    return None
-
-
 def _split(a: Formula, b: Formula) -> list[list[Formula]]:
     """The two successors of R6 on A <-> B."""
     return [[And(Nabla(a), Nabla(b))], [And(Not(Nabla(a)), Not(Nabla(b)))]]
 
 
-# Each rule class maps a formula to (rule, successors) when it fires on it,
-# else to None; successors lists the formulas each successor branch adds.
+# A handler reads the node its shape names (f, or the A of ~A or of ~#A) and
+# returns (rule, the formulas each successor adds) if it fires, else None.
 
-def _alpha(f: Formula, ctx: _Context):
-    if isinstance(f, And):
-        return "and", [[f.left, f.right]]
-    if isinstance(f, Iff):
-        # the branching R6 takes over when the biconditional is valid
-        if not _is_valid_nested(f, ctx):
-            return "iff", [[Implies(f.left, f.right),
-                            Implies(f.right, f.left)]]
+def _iff(a: Formula, ctx: _Context):
+    # the branching R6 takes over when the biconditional is valid
+    if _is_valid_nested(a, ctx):
         return None
-    if isinstance(f, Not):
-        g = f.child
-        if isinstance(g, Or):
-            return "not-or", [[Not(g.left), Not(g.right)]]
-        if isinstance(g, Implies):
-            return "not-implies", [[g.left, Not(g.right)]]
-        if isinstance(g, Not):
-            return "not-not", [[g.child]]
-        if isinstance(g, Top):
-            return "not-top", [[Bottom()]]
-    return None
+    return "iff", [[Implies(a.left, a.right), Implies(a.right, a.left)]]
 
 
-def _r1(f: Formula, ctx: _Context):
-    if isinstance(f, Nabla):
-        return "R1", [[f.child]]
-    return None
+def _r6(a: Formula, ctx: _Context):
+    # the iff handler has tested a already: this test is a memo hit
+    return ("R6", _split(a.left, a.right)) if _is_valid_nested(a, ctx) \
+        else None
 
 
-def _r2(f: Formula, ctx: _Context):
-    g = _denied(f)
-    if g is not None and _is_valid_nested(g, ctx):
-        return "R2", [[Bottom()]]
-    return None
+def _r2(a: Formula, ctx: _Context):
+    return ("R2", [[Bottom()]]) if _is_valid_nested(a, ctx) else None
 
 
-def _r5(f: Formula, ctx: _Context):
-    # reached only once the R2 test of every ~#A on the branch failed
-    g = _denied(f)
-    if isinstance(g, Implies):
-        return "R5A", [[Not(Nabla(Or(Not(g.left), g.right)))]]
-    if isinstance(g, Iff):
-        return "R5B", [[Not(Nabla(And(Implies(g.left, g.right),
-                                      Implies(g.right, g.left))))]]
-    return None
+_CLASSES = 6  # the rule classes, in priority order:
+_ALPHA, _R1, _R2, _R5, _R4, _BRANCHING = range(_CLASSES)
 
+_R2_ONLY = ((_R2, _r2),)  # every ~#A, whatever A is
 
-def _r4(f: Formula, ctx: _Context):
-    g = _denied(f)
-    if isinstance(g, Or):
-        return "R4", [[Not(Nabla(g.left)), Not(Nabla(g.right))]]
-    return None
-
-
-def _branching(f: Formula, ctx: _Context):
-    if isinstance(f, Or):
-        return "or", [[f.left], [f.right]]
-    if isinstance(f, Implies):
-        return "implies", [[Not(f.left)], [f.right]]
-    if isinstance(f, Iff):
-        if _is_valid_nested(f, ctx):
-            return "R6", _split(f.left, f.right)
-        return None
-    if isinstance(f, Not):
-        g = f.child
-        if isinstance(g, And):
-            return "not-and", [[Not(g.left)], [Not(g.right)]]
-        if isinstance(g, Iff):
-            return "not-iff", [[Not(Implies(g.left, g.right))],
-                               [Not(Implies(g.right, g.left))]]
-        if isinstance(g, Nabla) and isinstance(g.child, And):
-            return "R3", [[Not(Nabla(g.child.left))],
-                          [Not(Nabla(g.child.right))]]
-    return None
-
-
-_RULES = (_alpha, _r1, _r2, _r5, _r4, _branching)
-
-
-def _nabla_arguments(formulas: list[Formula]) -> list[Formula]:
-    """Arguments of #-formulas, positive or negated, in first-appearance
-    order."""
-    args: list[Formula] = []
-    for f in formulas:
-        g = f.child if isinstance(f, Nabla) else _denied(f)
-        if g is not None and g not in args:
-            args.append(g)
-    return args
+# (class, handler) for each shape some class can fire on: a formula's
+# type, (Not, type of A) for ~A, (Not, Nabla, type of A) for ~#A
+_SHAPES = {
+    And: ((_ALPHA, lambda a, ctx: ("and", [[a.left, a.right]])),),
+    Iff: ((_ALPHA, _iff), (_BRANCHING, _r6)),
+    (Not, Or): ((_ALPHA, lambda a, ctx: (
+        "not-or", [[Not(a.left), Not(a.right)]])),),
+    (Not, Implies): ((_ALPHA, lambda a, ctx: (
+        "not-implies", [[a.left, Not(a.right)]])),),
+    (Not, Not): ((_ALPHA, lambda a, ctx: ("not-not", [[a.child]])),),
+    (Not, Top): ((_ALPHA, lambda a, ctx: ("not-top", [[Bottom()]])),),
+    Nabla: ((_R1, lambda a, ctx: ("R1", [[a.child]])),),
+    (Not, Nabla, Implies): _R2_ONLY + ((_R5, lambda a, ctx: (
+        "R5A", [[Not(Nabla(Or(Not(a.left), a.right)))]])),),
+    (Not, Nabla, Iff): _R2_ONLY + ((_R5, lambda a, ctx: (
+        "R5B", [[Not(Nabla(And(Implies(a.left, a.right),
+                               Implies(a.right, a.left))))]])),),
+    (Not, Nabla, Or): _R2_ONLY + ((_R4, lambda a, ctx: (
+        "R4", [[Not(Nabla(a.left)), Not(Nabla(a.right))]])),),
+    (Not, Nabla, And): _R2_ONLY + ((_BRANCHING, lambda a, ctx: (
+        "R3", [[Not(Nabla(a.left))], [Not(Nabla(a.right))]])),),
+    Or: ((_BRANCHING, lambda a, ctx: ("or", [[a.left], [a.right]])),),
+    Implies: ((_BRANCHING, lambda a, ctx: (
+        "implies", [[Not(a.left)], [a.right]])),),
+    (Not, And): ((_BRANCHING, lambda a, ctx: (
+        "not-and", [[Not(a.left)], [Not(a.right)]])),),
+    (Not, Iff): ((_BRANCHING, lambda a, ctx: (
+        "not-iff", [[Not(Implies(a.left, a.right))],
+                    [Not(Implies(a.right, a.left))]])),),
+}
 
 
 def _select(branch: Branch, ctx: _Context):
-    fs = branch.formulas
-    end = len(fs)
     cursors = branch.cursors
-    for k, rule in enumerate(_RULES):
-        for i in range(cursors[k], end):
-            hit = rule(fs[i], ctx)
+    for k, queue in enumerate(branch.queues):
+        i = cursors[k]
+        while i < len(queue):
+            node, handler = queue[i]
+            i += 1
+            hit = handler(node, ctx)
             if hit is not None:
-                cursors[k] = i + 1
+                cursors[k] = i
                 return hit
-        cursors[k] = end
+        cursors[k] = i
 
     # R6 paired form: a valid biconditional between two #-arguments already
     # on the branch licenses the same split even when the biconditional
     # itself is not a branch member.  Needed to close the tableaux the
     # biconditional transfer rule of the Hilbert system certifies.
-    args = _nabla_arguments(fs)
+    args = branch.arguments
     for i, a in enumerate(args):
         for b in args[i + 1:]:
             link = Iff(a, b)

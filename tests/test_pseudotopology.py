@@ -5,6 +5,9 @@ import re
 
 import pytest
 
+from plausible.algebra import enumerate_algebras, find_countermodel
+from plausible.folp import unary_structures
+from plausible.formula import parse
 from plausible.pseudotopology import (MAX_UNIVERSE, PseudoTopology, box,
                                       enumerate_spaces, frames, validate)
 
@@ -159,6 +162,21 @@ def test_enumeration_rejects_oversized_request():
         enumerate_spaces(MAX_UNIVERSE + 1)
     with pytest.raises(ValueError):
         enumerate_spaces(0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (enumerate_spaces, "universe_size"),
+    (enumerate_algebras, "n_atoms"),
+    (lambda n: find_countermodel(parse("p"), n), "max_atoms"),
+    (unary_structures, "max_domain"),
+])
+@pytest.mark.parametrize("size", [True, 2.0, "2"])
+def test_size_arguments_must_be_integers(call, name, size):
+    # a bool passes a range check as 0 or 1, and a float or string would
+    # fail later with TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got "
+                                         f"{re.escape(repr(size))}$"):
+        call(size)
 
 
 def test_all_enumerated_spaces_validate():

@@ -112,3 +112,21 @@ def test_first_order_checker_does_not_load_the_algebra():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("modules", [
+    "plausible.formula, plausible.tableau, plausible.algebra",
+    "plausible.folp, plausible.pseudotopology",
+])
+def test_the_benchmarked_engines_do_not_load_dataclasses(modules):
+    # the corpus and first-order paths build their records on namedtuples;
+    # dataclasses, and the inspect it imports, would cost every fresh
+    # interpreter their import time and memory
+    code = ("import sys\n"
+            f"import {modules}\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -110,17 +110,26 @@ def test_budget_is_a_distinct_error():
         prove([], parse("#(p & q) -> #(q & p)"), budget=3)
 
 
+_BRANCH_STATE = ("formulas", "members", "negated", "queues", "cursors",
+                 "arguments", "links")
+
+
 def test_copies_share_no_state():
-    branch = Branch([Or(p, q), Nabla(p), Not(q)])
+    branch = Branch([Or(p, q), Nabla(p), Not(q), Not(Nabla(And(p, q)))])
     branch.cursors[0] = 2
     branch.links.add(Iff(p, q))
+    assert branch.arguments == [p, And(p, q)]
+    queues = [list(queue) for queue in branch.queues]
     twin = branch.copy()
-    for name in ("formulas", "members", "negated", "cursors", "links"):
+    for name in _BRANCH_STATE:
         assert getattr(twin, name) == getattr(branch, name), name
         assert getattr(twin, name) is not getattr(branch, name), name
     twin.add(q)
+    twin.add(Not(Nabla(Or(p, q))))  # queued for R2 and R4
     assert twin.closed and not branch.closed
     assert q not in branch.members
+    assert branch.arguments == [p, And(p, q)]
+    assert branch.queues == queues != twin.queues
 
 
 @pytest.mark.parametrize("start", [[Or(p, q)], [Not(Nabla(And(p, q)))]])
@@ -137,13 +146,14 @@ def test_branching_step_leaves_the_parent_untouched(start):
     assert first not in result.open_branch
 
     branch = Branch(start)
-    state = {name: copy.copy(getattr(branch, name))
-             for name in ("formulas", "members", "negated", "cursors",
-                          "links")}
+    state = {name: copy.deepcopy(getattr(branch, name))
+             for name in _BRANCH_STATE}
     children = [branch.copy(), branch.copy()]
     for child, own in zip(children, (first, second)):
         child.add(own)
         child.cursors[-1] += 1
+        child.queues[-1].append((own, None))
+        child.arguments.append(own)
         child.links.add(Iff(own, own))
     for name, before in state.items():
         assert getattr(branch, name) == before, name
@@ -179,10 +189,12 @@ def test_closure_is_detected_in_either_order():
 #
 # The sha256 of the text `prove --json` prints (the flat node list) over
 # the shared corpus followed by the 1012 depth-2 axiom instances under #,
-# and the smallest budget each listed goal proves within.  The budgets were
-# computed before rule selection became incremental, the fingerprint when
-# the JSON tree became a flat node list, both under PYTHONHASHSEED 0 and
-# 12345; neither may move with a change of search bookkeeping.
+# and the smallest budget each listed goal proves within.  The first seven
+# budgets were computed before rule selection became incremental, the other
+# eight, one or more for each rule, before rules were dispatched by formula
+# shape; the fingerprint when the JSON tree became a flat node list, all
+# under PYTHONHASHSEED 0 and 12345.  None may move with a change of search
+# bookkeeping.
 
 TREE_FINGERPRINT = \
     "5cd089702001c57522c67564ee8b75452a2a1d03388e64fb9a93a2ab4d535323"
@@ -227,6 +239,14 @@ def test_trees_are_pinned():
     ("#(p | ~p)", 5),                         # R2 closes
     ("(p -> q) -> (~q -> ~p)", 8),
     ("#p -> #q", 9),                          # open
+    ("(p <-> p) -> (#p <-> #p)", 30),         # R6
+    ("(p <-> q) -> (q <-> p)", 11),           # iff
+    ("true", 2),                              # not-top
+    ("#(p & q) -> p", 6),                     # R1, and
+    ("~(p <-> q) -> (p | q)", 11),            # not-iff, not-or
+    ("p -> ~~p", 4),                          # not-not
+    ("(p | q) -> (q | p)", 7),                # or
+    ("~(p & q) -> (~p | ~q)", 9),             # not-and
 ])
 def test_minimal_budgets_are_pinned(text, budget):
     f = parse(text)
