@@ -24,46 +24,40 @@ each of the schema's variables is bound exactly once), ``mp <i> <j>``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .formula import (And, Atom, Formula, Implies, Nabla, Not, Or,
                       is_classical_tautology, parse, render)
+from .pseudotopology import _record
 
 SCHEMA_VARS = {"LPC": (), "AX1": ("A", "B"), "AX2": ("A", "B"),
                "AX3": ("A",), "AX4": ("A",)}
 
 
-@dataclass(frozen=True)
-class Premise:
-    pass
+# justifications and proof lines are records, built like
+# pseudotopology.Verdict; an axiom's bindings are (variable, formula) pairs
+
+class Premise(_record("")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AxiomJust:
-    schema: str
-    bindings: tuple[tuple[str, Formula], ...] = ()
+class AxiomJust(_record("schema bindings", ((),))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MP:
-    i: int
-    j: int
+class MP(_record("i j")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RNabla:
-    i: int
+class RNabla(_record("i")):
+    __slots__ = ()
 
 
 Justification = Union[Premise, AxiomJust, MP, RNabla]
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    index: int
-    formula: Formula
-    justification: Justification
+class ProofLine(_record("index formula justification")):
+    __slots__ = ()
 
 
 def axiom(schema: str, **bindings: Formula) -> AxiomJust:
@@ -91,13 +85,11 @@ def instantiate(schema: str, bindings: dict[str, Formula]) -> Formula:
     return Nabla(Or(a, Not(a)))  # AX4
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    proved: Optional[Formula] = None
-    is_theorem: bool = False
-    line: Optional[int] = None
-    reason: str = ""
+class CheckResult(_record("ok proved is_theorem line reason",
+                          (None, False, None, ""))):
+    """Whether the proof was accepted, the formula and theoremhood of its
+    last line, or the line that failed and why; true exactly when ok is."""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -9,8 +9,15 @@ Classical expansion rules plus the operator rules:
   R5A  from ~#(A -> B), rewrite to ~#(~A | B)
   R5B  from ~#(A <-> B), rewrite to ~#((A -> B) & (B -> A))
   R6   from a valid biconditional A <-> B on the branch, branch on
-       (#A & #B) | (~#A & ~#B); also fired for any pair of #-arguments
+       #A, #B | ~#A, ~#B; also fired for any pair of #-arguments
        already on the branch whose biconditional is valid (see R6P below)
+
+The classical rules are the textbook ones (Fitting, First-Order Logic and
+Automated Theorem Proving, 1996): and, not-or, not-implies, not-not and
+not-top add formulas; or, implies and not-and branch; iff adds A -> B and
+B -> A; not-iff branches on A, ~B | B, ~A.  Each successor adds its
+formulas themselves, never a compound (a negated implication, a
+conjunction) that the next step would take apart.
 
 A branch closes on falsum or on a syntactic pair A, ~A.  Saturation
 terminates because every rule is applied at most once per formula per
@@ -222,8 +229,8 @@ def _is_valid_nested(f: Formula, ctx: _Context) -> bool:
 
 
 def _split(a: Formula, b: Formula) -> list[list[Formula]]:
-    """The two successors of R6 on A <-> B."""
-    return [[And(Nabla(a), Nabla(b))], [And(Not(Nabla(a)), Not(Nabla(b)))]]
+    """The two successors of R6 on A <-> B: #A, #B and ~#A, ~#B."""
+    return [[Nabla(a), Nabla(b)], [Not(Nabla(a)), Not(Nabla(b))]]
 
 
 # A handler reads the node its shape names (f, or the A of ~A or of ~#A) and
@@ -278,8 +285,7 @@ _SHAPES = {
     (Not, And): ((_BRANCHING, lambda a, ctx: (
         "not-and", [[Not(a.left)], [Not(a.right)]])),),
     (Not, Iff): ((_BRANCHING, lambda a, ctx: (
-        "not-iff", [[Not(Implies(a.left, a.right))],
-                    [Not(Implies(a.right, a.left))]])),),
+        "not-iff", [[a.left, Not(a.right)], [a.right, Not(a.left)]])),),
 }
 
 

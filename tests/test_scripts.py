@@ -116,12 +116,14 @@ def test_first_order_checker_does_not_load_the_algebra():
 
 @pytest.mark.parametrize("modules", [
     "plausible.formula, plausible.tableau, plausible.algebra",
+    "plausible.formula, plausible.hilbert, plausible.tableau, "
+    "plausible.algebra",
     "plausible.folp, plausible.pseudotopology",
 ])
 def test_the_benchmarked_engines_do_not_load_dataclasses(modules):
-    # the corpus and first-order paths build their records on namedtuples;
-    # dataclasses, and the inspect it imports, would cost every fresh
-    # interpreter their import time and memory
+    # the corpus, theorem and first-order paths build their records on
+    # namedtuples; dataclasses, and the inspect it imports, would cost
+    # every fresh interpreter their import time and memory
     code = ("import sys\n"
             f"import {modules}\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")

@@ -12,6 +12,7 @@ from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, atoms, parse, render)
 from plausible.hilbert import instantiate
 from plausible.sampling import corpus, depth2_candidates, random_formula
+from plausible import tableau
 from plausible.tableau import Branch, BudgetExceeded, is_valid, prove
 
 from conftest import CORPUS_SEED, CORPUS_SIZE, evaluate
@@ -92,6 +93,38 @@ def test_expand_step_r2_closes_on_valid_argument():
     assert r2.verdict == "closed"
     (node,) = [n for n in _nodes(r2.tree) if n.rule == "R2"]
     assert node.formula == Bottom() and node.closed and not node.children
+
+
+def _successors(tree):
+    """The (rule, formula) pairs of the first two nodes under each child of
+    the topmost step with more than one successor."""
+    split = next(n for n in _nodes(tree) if len(n.children) > 1)
+    out = []
+    for child in split.children:
+        (grandchild,) = child.children
+        out.append([(n.rule, n.formula) for n in (child, grandchild)])
+    return out
+
+
+def test_expand_step_not_iff_branches():
+    # ~p closes the first successor, so the tree keeps both
+    result = prove([Not(Iff(p, q)), Not(p)], Bottom())
+    assert _successors(result.tree) == [
+        [("not-iff", p), ("not-iff", Not(q))],
+        [("not-iff", q), ("not-iff", Not(p))]]
+    assert result.open_branch == [Not(Iff(p, q)), Not(p), Not(Bottom()), q]
+
+
+def test_expand_step_r6_branches():
+    # R6 needs a valid biconditional, so its arguments are p & q and q & p;
+    # ~p closes the first successor through R1 and the and rule
+    a, b = And(p, q), And(q, p)
+    result = prove([Iff(a, b), Not(p)], Bottom())
+    assert _successors(result.tree) == [
+        [("R6", Nabla(a)), ("R6", Nabla(b))],
+        [("R6", Not(Nabla(a))), ("R6", Not(Nabla(b)))]]
+    assert And(Nabla(a), Nabla(b)) not in {n.formula
+                                           for n in _nodes(result.tree)}
 
 
 def test_saturate_examples():
@@ -189,21 +222,20 @@ def test_closure_is_detected_in_either_order():
 #
 # The sha256 of the text `prove --json` prints (the flat node list) over
 # the shared corpus followed by the 1012 depth-2 axiom instances under #,
-# and the smallest budget each listed goal proves within.  The first seven
-# budgets were computed before rule selection became incremental, the other
-# eight, one or more for each rule, before rules were dispatched by formula
-# shape; the fingerprint when the JSON tree became a flat node list, all
-# under PYTHONHASHSEED 0 and 12345.  None may move with a change of search
-# bookkeeping.
+# and the smallest budget each listed goal proves within, one or more goals
+# for each rule.  Both fingerprints and the budgets of the goals whose
+# tableau, nested validity tests included, fires not-iff or R6 were
+# computed when those rules came to add their successors' formulas
+# directly, under PYTHONHASHSEED 0 and 12345.
+# None may move with a change of search bookkeeping.
 
 TREE_FINGERPRINT = \
-    "5cd089702001c57522c67564ee8b75452a2a1d03388e64fb9a93a2ab4d535323"
+    "4f27be954224bf11a6387bfd458ab5743c2d1215622219bb7192241d817b07f2"
 
-# The sha256 of to_text over the same goals, computed before the JSON
-# format became a flat node list; it pins the trees independently of the
-# JSON format.
+# The sha256 of to_text over the same goals; it pins the trees
+# independently of the JSON format.
 TEXT_FINGERPRINT = \
-    "783200f1c1170e6b3a3d596256fbd7a2e5666bfe0f7bcfa736fb6d9316561c26"
+    "fff280b2f244c2182cbe4ef0d961b7e3e646be808d0d9cfe032d48a1378335e4"
 
 
 def _pinned_goals():
@@ -232,18 +264,18 @@ def test_trees_are_pinned():
 
 
 @pytest.mark.parametrize("text, budget", [
-    ("#(p & q) -> #(q & p)", 39),             # R3, then R6P
-    ("##(p & q) -> ##(q & p)", 103),          # R6P inside a nested test
-    ("#(p <-> q) -> #(q <-> p)", 100),        # R5B, R5A, R4, R3, R6P
-    ("#(#p -> #q) -> #(~#q -> ~#p)", 62),     # R5A, R4, R6P
+    ("#(p & q) -> #(q & p)", 33),             # R3, then R6P
+    ("##(p & q) -> ##(q & p)", 85),           # R6P inside a nested test
+    ("#(p <-> q) -> #(q <-> p)", 108),        # R5B, R5A, R4, R3, R6P
+    ("#(#p -> #q) -> #(~#q -> ~#p)", 55),     # R5A, R4, R6P
     ("#(p | ~p)", 5),                         # R2 closes
     ("(p -> q) -> (~q -> ~p)", 8),
-    ("#p -> #q", 9),                          # open
-    ("(p <-> p) -> (#p <-> #p)", 30),         # R6
-    ("(p <-> q) -> (q <-> p)", 11),           # iff
+    ("#p -> #q", 8),                          # open
+    ("(p <-> p) -> (#p <-> #p)", 22),         # R6
+    ("(p <-> q) -> (q <-> p)", 20),           # iff
     ("true", 2),                              # not-top
     ("#(p & q) -> p", 6),                     # R1, and
-    ("~(p <-> q) -> (p | q)", 11),            # not-iff, not-or
+    ("~(p <-> q) -> (p | q)", 9),             # not-iff, not-or
     ("p -> ~~p", 4),                          # not-not
     ("(p | q) -> (q | p)", 7),                # or
     ("~(p & q) -> (~p | ~q)", 9),             # not-and
@@ -253,6 +285,31 @@ def test_minimal_budgets_are_pinned(text, budget):
     prove([], f, budget=budget)
     with pytest.raises(BudgetExceeded):
         prove([], f, budget=budget - 1)
+
+
+# The sha256 of the verdicts, one a line, over the seed-7 corpus of 3000
+# formulas of at most 16 nodes, computed before not-iff and R6 came to add
+# their successors' formulas directly, and the nodes charged over it after.
+CORPUS_VERDICTS = \
+    "91b3a82ed6e90c91e38c8c102dbfeb9f739a807612cfe98b1d0ed197b305ed9f"
+CORPUS_NODES = 148_689
+
+
+def test_corpus_verdicts_and_charges_are_pinned(monkeypatch):
+    charged = 0
+    charge = tableau._Context.charge
+
+    def counting(ctx, n=1):
+        nonlocal charged
+        charged += n
+        charge(ctx, n)
+
+    monkeypatch.setattr(tableau._Context, "charge", counting)
+    h = hashlib.sha256()
+    for f in corpus(7, 3000, max_size=16):
+        h.update(prove([], f).verdict.encode() + b"\n")
+    assert h.hexdigest() == CORPUS_VERDICTS
+    assert charged == CORPUS_NODES
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +344,37 @@ def _holds_everywhere(f, max_atoms=2):
     return True
 
 
+def _rule(premise, successors):
+    """premise -> the disjunction, over the successors, of the conjunction
+    of the formulas each adds: it holds everywhere when the rule is
+    sound."""
+    return Implies(premise, functools.reduce(
+        Or, [functools.reduce(And, added) for added in successors]))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_rulewise_soundness(seed):
     rng = random.Random(seed)
     a = random_formula(rng, max_size=5, atom_names=("p", "q"))
     b = random_formula(rng, max_size=5, atom_names=("p", "q"))
     steps = [
-        Implies(Nabla(a), a),                                          # R1
-        Implies(Not(Nabla(And(a, b))),
-                Or(Not(Nabla(a)), Not(Nabla(b)))),                     # R3
-        Implies(Not(Nabla(Or(a, b))),
-                And(Not(Nabla(a)), Not(Nabla(b)))),                    # R4
-        Implies(Not(Nabla(Implies(a, b))),
-                Not(Nabla(Or(Not(a), b)))),                            # R5A
-        Implies(Not(Nabla(Iff(a, b))),
-                Not(Nabla(And(Implies(a, b), Implies(b, a))))),        # R5B
+        _rule(Nabla(a), [[a]]),                                        # R1
+        _rule(Not(Nabla(And(a, b))),
+              [[Not(Nabla(a))], [Not(Nabla(b))]]),                     # R3
+        _rule(Not(Nabla(Or(a, b))), [[Not(Nabla(a)), Not(Nabla(b))]]),  # R4
+        _rule(Not(Nabla(Implies(a, b))),
+              [[Not(Nabla(Or(Not(a), b)))]]),                          # R5A
+        _rule(Not(Nabla(Iff(a, b))),
+              [[Not(Nabla(And(Implies(a, b), Implies(b, a))))]]),      # R5B
+        _rule(Not(Iff(a, b)), [[a, Not(b)], [b, Not(a)]]),            # not-iff
     ]
     for f in steps:
         assert _holds_everywhere(f), render(f)
     if _holds_everywhere(a):
-        assert _holds_everywhere(Implies(Not(Nabla(a)), Bottom()))     # R2
+        assert _holds_everywhere(_rule(Not(Nabla(a)), [[Bottom()]]))   # R2
     if _holds_everywhere(Iff(a, b)):
-        assert _holds_everywhere(
-            Implies(Iff(a, b), Or(And(Nabla(a), Nabla(b)),
-                                  And(Not(Nabla(a)), Not(Nabla(b))))))  # R6
+        assert _holds_everywhere(_rule(Iff(a, b), [
+            [Nabla(a), Nabla(b)], [Not(Nabla(a)), Not(Nabla(b))]]))    # R6
 
 
 # ---------------------------------------------------------------------------
