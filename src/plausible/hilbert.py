@@ -18,7 +18,8 @@ Proof file format, one line per step:
 with justification one of ``premise``, ``axiom LPC``,
 ``axiom AX3 A=<formula>`` (``B=<formula>`` where the schema needs it;
 each of the schema's variables is bound exactly once), ``mp <i> <j>``
-(line j must be: line i -> this line), ``rnabla <i>``.
+(line j must be: line i -> this line), ``rnabla <i>``, and nothing
+else.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def _parse_justification(text: str) -> Justification:
     head = parts[0].lower() if parts else ""
     rest = parts[1] if len(parts) > 1 else ""
     if head == "premise":
+        if rest:
+            raise ValueError(f"premise takes nothing after it, got {rest!r}")
         return Premise()
     if head == "axiom":
         sub = rest.split(None, 1)
@@ -192,6 +195,10 @@ def _parse_justification(text: str) -> Justification:
         # a repeated variable is kept, for check_proof to reject
         bindings = []
         marks = list(_BINDING_RE.finditer(arg_text))
+        stray = arg_text[:marks[0].start()] if marks else arg_text
+        if stray:
+            raise ValueError(f"axiom {schema} takes bindings X=formula, "
+                             f"got {stray!r}")
         for k, m in enumerate(marks):
             end = marks[k + 1].start() if k + 1 < len(marks) else len(arg_text)
             bindings.append((m.group(1), parse(arg_text[m.end():end])))

@@ -9,13 +9,14 @@ Classical expansion rules plus the operator rules:
   R5A  from ~#(A -> B), rewrite to ~#(~A | B)
   R5B  from ~#(A <-> B), rewrite to ~#((A -> B) & (B -> A))
   R6   from a valid biconditional A <-> B on the branch, branch on
-       #A, #B | ~#A, ~#B; also fired for any pair of #-arguments
-       already on the branch whose biconditional is valid (see R6P below)
+       #A, #B | ~#A, ~#B in place of the iff rule; also fired for any
+       pair of #-arguments already on the branch whose biconditional is
+       valid (see R6P below)
 
 The classical rules are the textbook ones (Fitting, First-Order Logic and
 Automated Theorem Proving, 1996): and, not-or, not-implies, not-not and
-not-top add formulas; or, implies and not-and branch; iff adds A -> B and
-B -> A; not-iff branches on A, ~B | B, ~A.  Each successor adds its
+not-top add formulas; or, implies and not-and branch; iff branches on
+A, B | ~A, ~B, and not-iff on A, ~B | B, ~A.  Each successor adds its
 formulas themselves, never a compound (a negated implication, a
 conjunction) that the next step would take apart.
 
@@ -23,18 +24,18 @@ A branch closes on falsum or on a syntactic pair A, ~A.  Saturation
 terminates because every rule is applied at most once per formula per
 branch and all derived formulas live in a finite closure of the inputs.
 
-Rule choice: six rule classes in priority order, the non-branching
-classical rules, R1, R2, R5A/R5B, R4, and the branching rules (classical,
-R3 and R6).  A step fires the first class that applies, on the earliest
-formula it applies to.  The classes that can fire on a formula depend on
-its shape alone: its connective, then the one under a ~, then the one
-under a ~#.  ``Branch.add`` looks each new formula up once in the table
-``_SHAPES`` and queues it, with the handler the table gives, for each of
-those classes.  A handler that returns None has done nothing but a
-nested validity test (R2's, or the one that sends a biconditional to the
-iff rule or to R6).  So the handlers make the same calls, in the same
-order, with the same charges, as trying every class on every formula:
-only the calls that could do nothing are gone.
+Rule choice: five rule classes in priority order, the non-branching
+rules (classical, and R1), R2, R5A/R5B, R4, and the branching rules
+(classical, R3 and R6).  A step fires the first class that applies, on
+the earliest formula it applies to.  The classes that can fire on a
+formula depend on its shape alone: its connective, then the one under a
+~, then the one under a ~#.  ``Branch.add`` looks each new formula up
+once in the table ``_SHAPES`` and queues it, with the handler the table
+gives, for each of those classes.  Only R2's handler can return None,
+having done nothing but its nested validity test; the iff handler makes
+one test and fires R6 or the iff rule.  So the handlers make the same
+calls, in the same order, with the same charges, as trying every class
+on every formula: only the calls that could do nothing are gone.
 Within a class the shapes exclude each other, and a formula the class
 passes over never fires for it later on the branch.  So each class keeps
 one cursor into its queue, moved past each formula it has passed over or
@@ -52,6 +53,7 @@ from typing import Iterable, Optional
 
 from .formula import (And, Bottom, Formula, Iff, Implies, Nabla, Not, Or,
                       Top, render)
+from .pseudotopology import _is_int
 
 DEFAULT_BUDGET = 100_000
 
@@ -179,8 +181,8 @@ class ProveResult:
         for node, _, parent in self._preorder():
             if parent is not None:
                 nodes[parent]["children"].append(len(nodes))
-            doc = {"formula": render(node.formula) if node.formula else None,
-                   "rule": node.rule, "children": []}
+            doc = {"formula": render(node.formula), "rule": node.rule,
+                   "children": []}
             if not node.children:
                 doc["closed"] = node.closed
             nodes.append(doc)
@@ -193,8 +195,7 @@ class ProveResult:
         lines: list[str] = []
         for node, indent, _ in self._preorder():
             pad = "  " * indent
-            label = render(node.formula) if node.formula else "-"
-            lines.append(f"{pad}{label}  [{node.rule}]")
+            lines.append(f"{pad}{render(node.formula)}  [{node.rule}]")
             if not node.children:
                 lines.append(f"{pad}{'x' if node.closed else 'o'}")
         return "\n".join(lines)
@@ -208,6 +209,8 @@ class ProveResult:
 
 class _Context:
     def __init__(self, budget: int):
+        if not _is_int(budget):
+            raise ValueError(f"node budget must be an integer, got {budget!r}")
         if budget < 1:
             raise ValueError(f"node budget must be at least 1, got {budget}")
         self.budget = budget
@@ -237,24 +240,18 @@ def _split(a: Formula, b: Formula) -> list[list[Formula]]:
 # returns (rule, the formulas each successor adds) if it fires, else None.
 
 def _iff(a: Formula, ctx: _Context):
-    # the branching R6 takes over when the biconditional is valid
+    # R6 in place of the iff rule when the biconditional is valid
     if _is_valid_nested(a, ctx):
-        return None
-    return "iff", [[Implies(a.left, a.right), Implies(a.right, a.left)]]
-
-
-def _r6(a: Formula, ctx: _Context):
-    # the iff handler has tested a already: this test is a memo hit
-    return ("R6", _split(a.left, a.right)) if _is_valid_nested(a, ctx) \
-        else None
+        return "R6", _split(a.left, a.right)
+    return "iff", [[a.left, a.right], [Not(a.left), Not(a.right)]]
 
 
 def _r2(a: Formula, ctx: _Context):
     return ("R2", [[Bottom()]]) if _is_valid_nested(a, ctx) else None
 
 
-_CLASSES = 6  # the rule classes, in priority order:
-_ALPHA, _R1, _R2, _R5, _R4, _BRANCHING = range(_CLASSES)
+_CLASSES = 5  # the rule classes, in priority order:
+_ALPHA, _R2, _R5, _R4, _BRANCHING = range(_CLASSES)
 
 _R2_ONLY = ((_R2, _r2),)  # every ~#A, whatever A is
 
@@ -262,14 +259,13 @@ _R2_ONLY = ((_R2, _r2),)  # every ~#A, whatever A is
 # type, (Not, type of A) for ~A, (Not, Nabla, type of A) for ~#A
 _SHAPES = {
     And: ((_ALPHA, lambda a, ctx: ("and", [[a.left, a.right]])),),
-    Iff: ((_ALPHA, _iff), (_BRANCHING, _r6)),
     (Not, Or): ((_ALPHA, lambda a, ctx: (
         "not-or", [[Not(a.left), Not(a.right)]])),),
     (Not, Implies): ((_ALPHA, lambda a, ctx: (
         "not-implies", [[a.left, Not(a.right)]])),),
     (Not, Not): ((_ALPHA, lambda a, ctx: ("not-not", [[a.child]])),),
     (Not, Top): ((_ALPHA, lambda a, ctx: ("not-top", [[Bottom()]])),),
-    Nabla: ((_R1, lambda a, ctx: ("R1", [[a.child]])),),
+    Nabla: ((_ALPHA, lambda a, ctx: ("R1", [[a.child]])),),
     (Not, Nabla, Implies): _R2_ONLY + ((_R5, lambda a, ctx: (
         "R5A", [[Not(Nabla(Or(Not(a.left), a.right)))]])),),
     (Not, Nabla, Iff): _R2_ONLY + ((_R5, lambda a, ctx: (
@@ -284,6 +280,7 @@ _SHAPES = {
         "implies", [[Not(a.left)], [a.right]])),),
     (Not, And): ((_BRANCHING, lambda a, ctx: (
         "not-and", [[Not(a.left)], [Not(a.right)]])),),
+    Iff: ((_BRANCHING, _iff),),
     (Not, Iff): ((_BRANCHING, lambda a, ctx: (
         "not-iff", [[a.left, Not(a.right)], [a.right, Not(a.left)]])),),
 }
@@ -365,7 +362,8 @@ def prove(premises: Iterable[Formula], goal: Formula,
 
     "closed" certifies the entailment; "open" carries one open branch on
     which no rule adds anything.  Exhausting the node budget raises
-    BudgetExceeded; a budget below 1 raises ValueError.
+    BudgetExceeded; a budget that is not an integer of at least 1 raises
+    ValueError.
     """
     ctx = _Context(budget)
     branch = Branch()

@@ -144,6 +144,18 @@ def test_parse_proof_names_the_unreadable_line(text, message):
         parse_proof(text)
 
 
+@pytest.mark.parametrize("justification, stray", [
+    ("axiom AX3 junk A=p", "'junk'"),
+    ("axiom AX3 A = p", "'A = p'"),
+    ("axiom LPC whatever", "'whatever'"),
+    ("premise junk", "'junk'"),
+    ("premise A=p", "'A=p'"),
+])
+def test_parse_proof_reads_every_character(justification, stray):
+    with pytest.raises(ValueError, match=f"^line 1: .*, got {stray}$"):
+        parse_proof(f"1. #p -> p ; {justification}")
+
+
 def test_proofs_with_premises():
     lines = [
         ProofLine(1, p, Premise()),

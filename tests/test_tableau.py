@@ -106,6 +106,16 @@ def _successors(tree):
     return out
 
 
+def test_expand_step_iff_branches():
+    # p <-> q is not valid, so the iff rule splits, not R6; p closes the
+    # first successor, so the tree keeps both
+    result = prove([Iff(p, q), Not(p)], Bottom())
+    assert _successors(result.tree) == [
+        [("iff", p), ("iff", q)],
+        [("iff", Not(p)), ("iff", Not(q))]]
+    assert result.open_branch == [Iff(p, q), Not(p), Not(Bottom()), Not(q)]
+
+
 def test_expand_step_not_iff_branches():
     # ~p closes the first successor, so the tree keeps both
     result = prove([Not(Iff(p, q)), Not(p)], Bottom())
@@ -141,6 +151,15 @@ def test_saturate_examples():
 def test_budget_is_a_distinct_error():
     with pytest.raises(BudgetExceeded):
         prove([], parse("#(p & q) -> #(q & p)"), budget=3)
+
+
+@pytest.mark.parametrize("budget, message", [
+    (2.5, "an integer"), (100.0, "an integer"), (True, "an integer"),
+    ("3", "an integer"), (None, "an integer"), (0, "at least 1"),
+])
+def test_budget_must_be_a_positive_integer(budget, message):
+    with pytest.raises(ValueError, match="node budget must be " + message):
+        prove([], parse("#p -> p"), budget=budget)
 
 
 _BRANCH_STATE = ("formulas", "members", "negated", "queues", "cursors",
@@ -224,18 +243,24 @@ def test_closure_is_detected_in_either_order():
 # the shared corpus followed by the 1012 depth-2 axiom instances under #,
 # and the smallest budget each listed goal proves within, one or more goals
 # for each rule.  Both fingerprints and the budgets of the goals whose
-# tableau, nested validity tests included, fires not-iff or R6 were
-# computed when those rules came to add their successors' formulas
-# directly, under PYTHONHASHSEED 0 and 12345.
+# tableau, nested validity tests included, fires the iff rule were
+# computed when iff came to branch on A, B | ~A, ~B and R1 joined the
+# non-branching class, under PYTHONHASHSEED 0 and 12345.
 # None may move with a change of search bookkeeping.
 
 TREE_FINGERPRINT = \
-    "4f27be954224bf11a6387bfd458ab5743c2d1215622219bb7192241d817b07f2"
+    "1855be60d8765c2e1cd7c0a3337dedb8de76a0e0eb11dca76d36505d9040edec"
 
 # The sha256 of to_text over the same goals; it pins the trees
 # independently of the JSON format.
 TEXT_FINGERPRINT = \
-    "fff280b2f244c2182cbe4ef0d961b7e3e646be808d0d9cfe032d48a1378335e4"
+    "c89dd4b9d78c9b93937b02a2861279a8d695a3fa399ef04e7366ca64d45cf803"
+
+# The sha256 of the verdicts alone, one a line, over the same goals,
+# computed before the iff rule came to branch; it holds the verdicts when a
+# change of rule moves the tree fingerprints.
+GOAL_VERDICTS = \
+    "e153f059fe59aa1406bcf4544fffeedeef49c25369630fae2e37c0589ee6988f"
 
 
 def _pinned_goals():
@@ -253,12 +278,14 @@ def _pinned_goals():
 def test_trees_are_pinned():
     goals = _pinned_goals()
     assert len(goals) == CORPUS_SIZE + 1012
-    h, t = hashlib.sha256(), hashlib.sha256()
+    h, t, v = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for f in goals:
         result = prove([], f)
         h.update(json.dumps(result.to_json(), indent=2,
                             sort_keys=True).encode())
         t.update(result.to_text().encode())
+        v.update(result.verdict.encode() + b"\n")
+    assert v.hexdigest() == GOAL_VERDICTS
     assert t.hexdigest() == TEXT_FINGERPRINT
     assert h.hexdigest() == TREE_FINGERPRINT
 
@@ -266,13 +293,13 @@ def test_trees_are_pinned():
 @pytest.mark.parametrize("text, budget", [
     ("#(p & q) -> #(q & p)", 33),             # R3, then R6P
     ("##(p & q) -> ##(q & p)", 85),           # R6P inside a nested test
-    ("#(p <-> q) -> #(q <-> p)", 108),        # R5B, R5A, R4, R3, R6P
+    ("#(p <-> q) -> #(q <-> p)", 100),        # R5B, R5A, R4, R3, R6P
     ("#(#p -> #q) -> #(~#q -> ~#p)", 55),     # R5A, R4, R6P
     ("#(p | ~p)", 5),                         # R2 closes
     ("(p -> q) -> (~q -> ~p)", 8),
     ("#p -> #q", 8),                          # open
     ("(p <-> p) -> (#p <-> #p)", 22),         # R6
-    ("(p <-> q) -> (q <-> p)", 20),           # iff
+    ("(p <-> q) -> (q <-> p)", 18),           # iff
     ("true", 2),                              # not-top
     ("#(p & q) -> p", 6),                     # R1, and
     ("~(p <-> q) -> (p | q)", 9),             # not-iff, not-or
@@ -289,10 +316,11 @@ def test_minimal_budgets_are_pinned(text, budget):
 
 # The sha256 of the verdicts, one a line, over the seed-7 corpus of 3000
 # formulas of at most 16 nodes, computed before not-iff and R6 came to add
-# their successors' formulas directly, and the nodes charged over it after.
+# their successors' formulas directly, and the nodes charged over it since
+# iff came to branch and R1 joined the non-branching class.
 CORPUS_VERDICTS = \
     "91b3a82ed6e90c91e38c8c102dbfeb9f739a807612cfe98b1d0ed197b305ed9f"
-CORPUS_NODES = 148_689
+CORPUS_NODES = 145_719
 
 
 def test_corpus_verdicts_and_charges_are_pinned(monkeypatch):
@@ -366,6 +394,7 @@ def test_rulewise_soundness(seed):
               [[Not(Nabla(Or(Not(a), b)))]]),                          # R5A
         _rule(Not(Nabla(Iff(a, b))),
               [[Not(Nabla(And(Implies(a, b), Implies(b, a))))]]),      # R5B
+        _rule(Iff(a, b), [[a, b], [Not(a), Not(b)]]),                  # iff
         _rule(Not(Iff(a, b)), [[a, Not(b)], [b, Not(a)]]),            # not-iff
     ]
     for f in steps:
