@@ -190,13 +190,24 @@ def size(f: Formula) -> int:
 
 
 def atoms(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, BINARY):
-        return atoms(f.left) | atoms(f.right)
-    if isinstance(f, UNARY):
-        return atoms(f.child)
-    return set()
+    """The names of the atoms of f.  Walks the interned DAG with a stack,
+    each distinct subformula once: a formula can share far more than its
+    tree shows."""
+    names: set[str] = set()
+    seen: set[Formula] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Atom:
+            names.add(g.name)
+        elif g not in seen:
+            seen.add(g)
+            if kind in UNARY:
+                stack.append(g.child)
+            elif kind in BINARY:
+                stack += g.left, g.right
+    return names
 
 
 def erase_nabla(f: Formula) -> Formula:

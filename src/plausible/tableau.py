@@ -39,12 +39,20 @@ on every formula: only the calls that could do nothing are gone.
 Within a class the shapes exclude each other, and a formula the class
 passes over never fires for it later on the branch.  So each class keeps
 one cursor into its queue, moved past each formula it has passed over or
-fired on; no step rescans the branch.  The R6 pair form (R6P) splits on
-biconditionals that need not be branch members, between the #-arguments
-the branch lists in order of appearance; it is tried last and keeps the
-set of links it has used.  One loop develops every branch, the
-successors still to grow waiting on a stack; a step with n successors
-copies its branch n - 1 times.
+fired on.  The R6 pair form (R6P) splits on biconditionals that need not
+be branch members, between the #-arguments the branch lists in order of
+appearance; it is tried last, on the first pair in that order whose
+biconditional it has not split on and is valid.  A pair it passes over
+never fires later on the branch, so each argument keeps a cursor to the
+next argument it pairs with; no step rescans the branch.  Most of those
+biconditionals are invalid, and the nested tableau of one that fails on
+the one-world frame cannot close, since the calculus is sound for the
+reflexive frames.  So a pair's biconditional is evaluated there
+(``algebra.find_countermodel``) before its first nested tableau, and a
+refuted one is charged the one node of a fresh probe: trees, open
+branches and verdicts are those of the unscreened probe.  One loop
+develops every branch, the successors still to grow waiting on a stack;
+a step with n successors copies its branch n - 1 times.
 """
 
 from __future__ import annotations
@@ -73,12 +81,13 @@ class Branch:
     without building a node.  queues[k] lists, in branch order, a
     (node, handler) pair for each member the rule class k can fire on,
     and cursors[k] is the position in it before which nothing can fire.
-    arguments lists A for each member #A or ~#A, and links holds the
-    biconditionals the R6 pair form has split on.
+    arguments lists A for each member #A or ~#A, and partners[i] is the
+    position in arguments, at first i + 1, before which nothing pairs
+    with arguments[i] under the R6 pair form.
     """
 
     __slots__ = ("formulas", "members", "negated", "closed", "queues",
-                 "cursors", "arguments", "links")
+                 "cursors", "arguments", "partners")
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         self.formulas: list[Formula] = []
@@ -88,7 +97,7 @@ class Branch:
         self.queues: list[list] = [[] for _ in range(_CLASSES)]
         self.cursors = [0] * _CLASSES
         self.arguments: list[Formula] = []
-        self.links: set[Formula] = set()
+        self.partners: list[int] = []
         for f in formulas:
             self.add(f)
 
@@ -111,9 +120,11 @@ class Branch:
                 node = node.child
                 # A comes twice only if #A and ~#A close the branch
                 self.arguments.append(node)
+                self.partners.append(len(self.arguments))
                 shape, unlisted = (Not, Nabla, type(node)), _R2_ONLY
         elif shape is Nabla:
             self.arguments.append(node.child)
+            self.partners.append(len(self.arguments))
         for k, handler in _SHAPES.get(shape, unlisted):
             self.queues[k].append((node, handler))
 
@@ -126,7 +137,7 @@ class Branch:
         new.queues = [list(queue) for queue in self.queues]
         new.cursors = list(self.cursors)
         new.arguments = list(self.arguments)
-        new.links = set(self.links)
+        new.partners = list(self.partners)
         return new
 
     def __repr__(self):
@@ -231,6 +242,19 @@ def _is_valid_nested(f: Formula, ctx: _Context) -> bool:
     return ctx.memo[f]
 
 
+def _is_valid_link(f: Formula, ctx: _Context) -> bool:
+    """_is_valid_nested for an R6P biconditional, refuted on the one-world
+    frame before any nested tableau, at the charge of a fresh probe."""
+    if f not in ctx.memo:
+        # on first use: the first-order checker loads this module, but
+        # must not load the countermodel search
+        from . import algebra
+        if algebra.find_countermodel(f, 1) is not None:
+            ctx.charge()
+            ctx.memo[f] = False
+    return _is_valid_nested(f, ctx)
+
+
 def _split(a: Formula, b: Formula) -> list[list[Formula]]:
     """The two successors of R6 on A <-> B: #A, #B and ~#A, ~#B."""
     return [[Nabla(a), Nabla(b)], [Not(Nabla(a)), Not(Nabla(b))]]
@@ -302,14 +326,16 @@ def _select(branch: Branch, ctx: _Context):
     # R6 paired form: a valid biconditional between two #-arguments already
     # on the branch licenses the same split even when the biconditional
     # itself is not a branch member.  Needed to close the tableaux the
-    # biconditional transfer rule of the Hilbert system certifies.
-    args = branch.arguments
+    # biconditional transfer rule of the Hilbert system certifies.  Each
+    # pair is tried once per branch, in order: arguments repeat only on a
+    # closed branch, so no two pairs share a biconditional.
+    args, partners = branch.arguments, branch.partners
     for i, a in enumerate(args):
-        for b in args[i + 1:]:
-            link = Iff(a, b)
-            if link not in branch.links and _is_valid_nested(link, ctx):
-                branch.links.add(link)
-                return "R6P", _split(a, b)
+        for j in range(partners[i], len(args)):
+            if _is_valid_link(Iff(a, args[j]), ctx):
+                partners[i] = j + 1
+                return "R6P", _split(a, args[j])
+        partners[i] = len(args)
     return None
 
 

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import strategies as st
 
 from plausible.algebra import find_countermodel
-from plausible.formula import (BINARY, And, Atom, Bottom, Implies, Nabla,
-                               Not, Or, Top)
+from plausible.formula import (BINARY, And, Atom, Bottom, Iff, Implies,
+                               Nabla, Not, Or, Top)
 from plausible.hilbert import LIBRARY, parse_proof
 from plausible.pseudotopology import Verdict
 from plausible.sampling import corpus
@@ -13,6 +14,27 @@ CORPUS_SIZE = 500
 
 # the parsed proof lines and premises of every shipped library proof
 LIBRARY_PROOFS = {name: parse_proof(text) for name, text in LIBRARY.items()}
+
+
+def formula_strategy():
+    """Random formulas over p, q, r of at most 12 leaves."""
+    base = st.one_of(
+        st.sampled_from([Atom("p"), Atom("q"), Atom("r")]),
+        st.just(Bottom()),
+        st.just(Top()),
+    )
+    return st.recursive(
+        base,
+        lambda children: st.one_of(
+            children.map(Not),
+            children.map(Nabla),
+            st.tuples(children, children).map(lambda t: And(*t)),
+            st.tuples(children, children).map(lambda t: Or(*t)),
+            st.tuples(children, children).map(lambda t: Implies(*t)),
+            st.tuples(children, children).map(lambda t: Iff(*t)),
+        ),
+        max_leaves=12,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -189,6 +189,18 @@ def test_deep_chains_are_evaluated(cls):
     assert not is_classical_tautology(f)
 
 
+def test_shared_subformulas_are_walked_once():
+    # f_(k+1) = f_k & #f_k has 2k + 1 distinct subformulas but a tree of
+    # over 2^k nodes, which no walk of the tree finishes at k = 60
+    f = Atom("p")
+    g = Or(f, Not(f))
+    for _ in range(60):
+        f, g = And(f, Nabla(f)), Or(g, Nabla(g))
+    assert atoms(f) == atoms(g) == {"p"}
+    assert find_countermodel(f, 3) == (PlausibleAlgebra(1, (1,)), {"p": 0})
+    assert find_countermodel(g, 3) is None
+
+
 def test_countermodel_examples():
     alg, valuation = find_countermodel(parse("#p"))
     assert alg == PlausibleAlgebra(1, (1,))

@@ -15,27 +15,9 @@ from plausible.formula import (And, Atom, Bottom, Iff, Implies, Nabla, Not,
                                Or, ParseError, Top, atoms, erase_nabla,
                                is_classical_tautology, parse, render, size)
 
+from conftest import formula_strategy
+
 p, q, r = Atom("p"), Atom("q"), Atom("r")
-
-
-def formula_strategy():
-    base = st.one_of(
-        st.sampled_from([p, q, r]),
-        st.just(Bottom()),
-        st.just(Top()),
-    )
-    return st.recursive(
-        base,
-        lambda children: st.one_of(
-            children.map(Not),
-            children.map(Nabla),
-            st.tuples(children, children).map(lambda t: And(*t)),
-            st.tuples(children, children).map(lambda t: Or(*t)),
-            st.tuples(children, children).map(lambda t: Implies(*t)),
-            st.tuples(children, children).map(lambda t: Iff(*t)),
-        ),
-        max_leaves=12,
-    )
 
 
 def test_parse_examples():
