@@ -47,20 +47,22 @@ never fires later on the branch, so each argument keeps a cursor to the
 next argument it pairs with; no step rescans the branch.  Most of those
 biconditionals are invalid, and the nested tableau of one that fails on
 the one-world frame cannot close, since the calculus is sound for the
-reflexive frames.  So a pair's biconditional is evaluated there
-(``algebra.find_countermodel``) before its first nested tableau, and a
-refuted one is charged the one node of a fresh probe: trees, open
-branches and verdicts are those of the unscreened probe.  One loop
-develops every branch, the successors still to grow waiting on a stack;
-a step with n successors copies its branch n - 1 times.
+reflexive frames.  So a pair's biconditional is evaluated there (by the
+countermodel search's block evaluator) before its first nested tableau,
+and a refuted one is charged the one node of a fresh probe: trees, open
+branches and verdicts are those of the unscreened probe.  Only a
+biconditional of at most 16 atoms, whose valuations fit in one block of
+the search, is screened, since the budget does not count the screen.
+One loop develops every branch, the successors still to grow waiting on
+a stack; a step with n successors copies its branch n - 1 times.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .formula import (And, Bottom, Formula, Iff, Implies, Nabla, Not, Or,
-                      Top, render)
+from .formula import (And, Atom, Bottom, Formula, Iff, Implies, Nabla,
+                      Not, Or, Top, atoms, render)
 from .pseudotopology import _is_int
 
 DEFAULT_BUDGET = 100_000
@@ -244,12 +246,19 @@ def _is_valid_nested(f: Formula, ctx: _Context) -> bool:
 
 def _is_valid_link(f: Formula, ctx: _Context) -> bool:
     """_is_valid_nested for an R6P biconditional, refuted on the one-world
-    frame before any nested tableau, at the charge of a fresh probe."""
+    frame before any nested tableau, at the charge of a fresh probe.
+
+    Only a link whose 2^k valuations on the one world fit in one block of
+    the countermodel search is screened: the screen is not charged to the
+    budget, so its cost must not grow with the atoms.  Any order of the
+    atoms finds a failure if there is one."""
     if f not in ctx.memo:
         # on first use: the first-order checker loads this module, but
         # must not load the countermodel search
         from . import algebra
-        if algebra.find_countermodel(f, 1) is not None:
+        units = [Atom(name) for name in atoms(f)]
+        if 1 << len(units) <= algebra._BLOCK_ELEMENTS \
+                and algebra._first_failure(f, units, 1) is not None:
             ctx.charge()
             ctx.memo[f] = False
     return _is_valid_nested(f, ctx)

@@ -286,6 +286,27 @@ def test_r6p_fires_the_first_unlinked_valid_pair():
     assert len(branch.arguments) == 9 and len(linked) == 10
 
 
+def test_wide_links_are_not_screened(monkeypatch):
+    # the one-world screen is not charged to the budget, so a link with
+    # more atoms than one block of the search holds valuations must go
+    # straight to its nested tableau: the valid 40-atom link of this goal
+    # would otherwise cost 2^24 blocks
+    from plausible import algebra
+    search = algebra._first_failure
+
+    def bounded(f, units, n):
+        assert len(algebra._algebras(n)) << n * len(units) \
+            <= algebra._BLOCK_ELEMENTS
+        return search(f, units, n)
+
+    monkeypatch.setattr(algebra, "_first_failure", bounded)
+    names = [f"p{i}" for i in range(1, 41)]
+    goal = parse(f"#({' & '.join(names)}) -> #({' & '.join(names[::-1])})")
+    assert prove([], goal, budget=1496).verdict == "closed"
+    with pytest.raises(BudgetExceeded):
+        prove([], goal, budget=1495)
+
+
 # ---------------------------------------------------------------------------
 # pinned trees and node charges
 #
