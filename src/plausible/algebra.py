@@ -13,13 +13,17 @@ one frame layer in ``pseudotopology``: ``frames`` lists the relations and
 ``box`` gives the table of one.  ``enumerate_algebras`` lists the
 2^(n^2 - n) relations in the lexicographic order of their tables.
 
-``find_countermodel`` searches all relations and valuations of one size
-at once, with Python ints as bit-vectors over one flat index:
-configuration i = table * 2^(n k) + valuation index for k atoms on n
-worlds, and a formula's value is one bit-vector per world, bit i set
-where it holds at that world, the worlds' vectors packed as lanes of one
-int.  The search walks the interned formula block by block, each
-distinct subformula once per block (``_value``).  The same walk decides
+``find_countermodel`` searches one relation per isomorphism class, the
+first of each class in that order (``_searched``: 1/1/3/16 of the
+1/1/4/64 tables), and all valuations of one size at once, with Python
+ints as bit-vectors over one flat index: configuration i = (position in
+that list) * 2^(n k) + valuation index for k atoms on n worlds, and a
+formula's value is one bit-vector per world, bit i set where it holds at
+that world, the worlds' vectors packed as lanes of one int.  The
+witness is the one a search of every table finds: isomorphic tables fail
+alike, so the first to fail in the full order is the first of its class.
+The search walks the interned formula block by block, each distinct
+subformula once per block (``_value``).  The same walk decides
 ``formula.is_classical_tautology``: the one-world frame is the 2-element
 algebra, and the atoms and #-subformulas of the formula are its units.
 """
@@ -27,6 +31,7 @@ algebra, and the atoms and #-subformulas of the formula are its units.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterator, Optional
 
 from .formula import (And, Atom, Bottom, Formula, Iff, Implies, Nabla, Not,
@@ -76,6 +81,26 @@ def _algebras(n_atoms: int) -> tuple[PlausibleAlgebra, ...]:
                         key=lambda alg: alg.sharp))
 
 
+@functools.cache
+def _searched(n_atoms: int) -> tuple[PlausibleAlgebra, ...]:
+    """The first algebra of each isomorphism class, in ``_algebras`` order:
+    1/1/3/16 of the 1/1/4/64 tables.  A class is the images of one
+    relation under the n! permutations of the worlds, and isomorphic
+    algebras refute the same formulas, so the search tries these alone."""
+    seen = set()
+    firsts = []
+    for alg in _algebras(n_atoms):
+        if alg.successors not in seen:
+            firsts.append(alg)
+            for p in itertools.permutations(range(n_atoms)):
+                image = [0] * n_atoms
+                for w, s in enumerate(alg.successors):
+                    image[p[w]] = sum(1 << p[v] for v in range(n_atoms)
+                                      if s >> v & 1)
+                seen.add(tuple(image))
+    return tuple(firsts)
+
+
 def enumerate_algebras(n_atoms: int) -> Iterator[PlausibleAlgebra]:
     """All plausible algebras on the 2^n_atoms-element powerset, in
     lexicographic order of their sharp tables.
@@ -94,18 +119,22 @@ def enumerate_algebras(n_atoms: int) -> Iterator[PlausibleAlgebra]:
     return iter(_algebras(n_atoms))
 
 
-# Configurations evaluated in one pass, as bit-vectors: the tables x
-# valuations of a size are cut into blocks of this many configurations, so
-# that no world's lane of a bit-vector is longer than this however many
-# atoms a formula has.  It must be a power of two: the configurations of a
-# size are a power of two too, so every block is an aligned window, whose
-# start is a multiple of its length.
+# Configurations evaluated in one pass, as bit-vectors: the searched
+# tables x valuations of a size are cut into blocks of this many
+# configurations, so that no world's lane of a bit-vector is longer than
+# this however many atoms a formula has.  It must be a power of two, so
+# that every block is an aligned window, whose start is a multiple of its
+# length, or the whole size: 1 and 3 worlds have 1 and 16 tables, so
+# their sizes are powers of two; 2 worlds have 3 tables, 3 * 4^k
+# configurations, and 4^k is a multiple of the block length or the whole
+# size is one block.
 _BLOCK_ELEMENTS = 1 << 16
 
 
 def _index_bit(bit: int, start: int, length: int) -> int:
     """Bit j, for j < length, set where ``start + j`` has ``bit`` set, for
-    an aligned window: ``length`` a power of two dividing ``start``."""
+    a window of ``_first_failure``: ``length`` a power of two dividing
+    ``start``, or ``start`` 0 and ``length`` a multiple of 2^(bit + 1)."""
     if 1 << bit >= length:
         # the window lies in one run of equal bits
         return (1 << length) - 1 if start >> bit & 1 else 0
@@ -125,9 +154,9 @@ def _periodic_bit(bit: int, length: int) -> int:
 @functools.lru_cache(maxsize=32)
 def _block_masks(n: int, k: int, i0: int, length: int):
     """The bit-vectors of configurations i0 .. i0 + length - 1 of size n
-    with k units, i = table * 2^(n k) + valuation index, one lane of
-    ``length`` bits per world, world w in lane w.  Cached: at most 32
-    blocks of at most k + n bit-vectors.
+    with k units, i = (position in ``_searched(n)``) * 2^(n k) + valuation
+    index, one lane of ``length`` bits per world, world w in lane w.
+    Cached: at most 32 blocks of at most k + n bit-vectors.
 
     Returns (digits, steps, full): ``digits[j]`` marks, in lane w, where
     world w is in the j-th unit's value, digit j of the valuation index
@@ -146,7 +175,7 @@ def _block_masks(n: int, k: int, i0: int, length: int):
         lo = max(i0, t << shift) - i0
         hi = min(i0 + length, (t + 1) << shift) - i0
         runs.append((((1 << (hi - lo)) - 1) << lo,
-                     _algebras(n)[t].successors))
+                     _searched(n)[t].successors))
     steps = []
     for d in range(1, n):
         edge = sum(run << w * length for w in range(n)
@@ -204,7 +233,7 @@ def _first_failure(f: Formula, units: list[Formula],
     are the digits of the valuation index: atoms, and for a classical
     check also #-subformulas."""
     k = len(units)
-    total = len(_algebras(n)) << n * k
+    total = len(_searched(n)) << n * k
     # only a search of one block is cached: a longer one meets its blocks
     # once each, in order, so a cache would only keep them alive after it
     masks = _block_masks if total <= _BLOCK_ELEMENTS \
@@ -229,11 +258,17 @@ def find_countermodel(f: Formula, max_atoms: int = MAX_ATOMS
     valuations lexicographic over the formula's atoms sorted by name.  The
     witness is therefore deterministic.
 
+    Only the first table of each isomorphism class is tried, and the
+    witness is still the first of the full order: if table T fails first
+    in that order, the first member of T's class fails too (permute the
+    valuation) and comes no later, so it is T.
+
     Each size is one flat run of configurations i = table * 2^(n k) +
-    valuation index (see the module docstring): the table is the high bits
-    of i and the atoms' values its low bits, n per atom.  So the lowest i
-    where some world fails, found block by block in ascending order, is the
-    witness a loop over tables, then valuations, finds.
+    valuation index (see the module docstring), the table's position in
+    ``_searched(n)`` being the high bits of i and the atoms' values its low
+    bits, n per atom.  So the lowest i where some world fails, found block
+    by block in ascending order, is the witness a loop over tables, then
+    valuations, finds.
     """
     if not _is_int(max_atoms) or not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}, "
@@ -245,7 +280,7 @@ def find_countermodel(f: Formula, max_atoms: int = MAX_ATOMS
         i = _first_failure(f, units, n)
         if i is not None:
             top = (1 << n) - 1
-            return _algebras(n)[i >> n * k], {
+            return _searched(n)[i >> n * k], {
                 name: i >> n * (k - 1 - j) & top
                 for j, name in enumerate(names)}
     return None

@@ -212,13 +212,25 @@ def atoms(f: Formula) -> set[str]:
 
 def erase_nabla(f: Formula) -> Formula:
     """Homomorphic copy with every plausibility operator dropped."""
-    if isinstance(f, Nabla):
-        return erase_nabla(f.child)
-    if isinstance(f, Not):
-        return Not(erase_nabla(f.child))
-    if isinstance(f, BINARY):
-        return type(f)(erase_nabla(f.left), erase_nabla(f.right))
-    return f
+    return _erase(f, {})
+
+
+def _erase(g: Formula, copies: dict[Formula, Formula]) -> Formula:
+    """The copy of g, kept in ``copies`` so that each distinct subformula
+    of the interned DAG is copied once, as ``atoms`` walks it once."""
+    copy = copies.get(g)
+    if copy is None:
+        kind = type(g)
+        if kind is Nabla:
+            copy = _erase(g.child, copies)
+        elif kind is Not:
+            copy = Not(_erase(g.child, copies))
+        elif kind in BINARY:
+            copy = kind(_erase(g.left, copies), _erase(g.right, copies))
+        else:
+            copy = g
+        copies[g] = copy
+    return copy
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +390,9 @@ def pseudo_atoms(f: Formula) -> list[Formula]:
     follow in first-occurrence order."""
     found: dict[str, Atom] = {}
     nablas: dict[Formula, None] = {}  # keeps the first-occurrence order
+    # a preorder of the interned DAG, each distinct subformula walked
+    # once: one met again was walked whole at its first visit, earlier
+    seen: set[Formula] = set()
     stack = [f]  # left operands pop first
     while stack:
         g = stack.pop()
@@ -385,10 +400,12 @@ def pseudo_atoms(f: Formula) -> list[Formula]:
             nablas[g] = None
         elif isinstance(g, Atom):
             found[g.name] = g
-        elif isinstance(g, BINARY):
-            stack += g.right, g.left
-        elif isinstance(g, Not):
-            stack.append(g.child)
+        elif g not in seen:
+            seen.add(g)
+            if isinstance(g, BINARY):
+                stack += g.right, g.left
+            elif isinstance(g, Not):
+                stack.append(g.child)
     return [found[name] for name in sorted(found)] + list(nablas)
 
 

@@ -270,13 +270,30 @@ def test_countermodel_matches_loop(f, max_atoms, block_elements):
 
 
 def test_countermodel_matches_loop_across_blocks():
-    # Four atoms give 8**4 valuations per table at size 8, so the 64
-    # tables of that size take several blocks; the first witness is table
-    # 22.
-    f = parse("#~#r | #(#(##~r -> q) | s) | (p & ~p)")
+    # Five atoms give 8**5 valuations per table at size 8, so the 16
+    # searched tables of that size take 8 blocks of 2 tables; the first
+    # witness is searched table 2 (table 3 of all 64, where world 0 sees
+    # the two worlds of a cluster that does not see it), in the second
+    # block.
+    f = parse("r & ~#~(p & #~r) -> #~(~p & #~r) | (a & b & c & ~a)")
     alg, _ = _check_against_loop(f, 3)
-    assert alg.sharp == (0, 0, 0, 1, 4, 4, 4, 7)
-    assert algebra._BLOCK_ELEMENTS // 8 ** 4 < 22
+    assert alg.sharp == (0, 0, 0, 0, 0, 0, 6, 7)
+    assert algebra._searched(3).index(alg) * 8 ** 5 \
+        >= algebra._BLOCK_ELEMENTS
+
+
+def test_countermodel_matches_loop_across_blocks_on_two_worlds():
+    # 2 worlds have 3 searched tables, so a size is 3 * 4**k
+    # configurations, no power of two; with eight atoms each table is one
+    # whole block.  Symmetry (B) fails first on searched table 1, where
+    # world 1 does not see world 0, in the second block.
+    f = parse("(p -> #~#~p) | (a & b & c & d & e & g & h & ~a)")
+    alg, valuation = _check_against_loop(f, 2)
+    assert alg.sharp == (0, 0, 2, 3)
+    assert valuation["p"] == 1
+    assert 3 * 4 ** 8 > algebra._BLOCK_ELEMENTS
+    assert algebra._searched(2).index(alg) * 4 ** 8 \
+        >= algebra._BLOCK_ELEMENTS
 
 
 def test_countermodel_on_the_valuation_chunk_path():
@@ -294,11 +311,11 @@ def test_countermodel_on_the_valuation_chunk_path():
 
 
 def test_long_searches_leave_no_block_masks_cached():
-    # a valid six-atom formula scans the 256 blocks of size 8 once each, in
+    # a valid six-atom formula scans the 64 blocks of size 8 once each, in
     # order, so they are built uncached; a search of one block, as every
     # search of at most three atoms is, still hits the cache when repeated
     f = parse("(a & b & c & d & e & g) -> a")
-    algebra._algebras(3)  # the tables stay cached for good: build them first
+    algebra._searched(3)  # the tables stay cached for good: build them first
     tracemalloc.start()
     try:
         assert find_countermodel(f) is None
@@ -325,17 +342,47 @@ def test_index_bit_masks_match_their_definition():
                 assert algebra._index_bit(bit, start, length) == expected
 
 
+def _isomorphic(r, s):
+    """Whether some permutation of the worlds maps the edges of relation r
+    (successor masks) onto those of s."""
+    n = len(r)
+
+    def edges(successors):
+        return {(w, v) for w, v in itertools.product(range(n), repeat=2)
+                if successors[w] >> v & 1}
+
+    return any({(p[w], p[v]) for w, v in edges(r)} == edges(s)
+               for p in itertools.permutations(range(n)))
+
+
+def test_search_tries_the_first_table_of_each_isomorphism_class():
+    for n, count in ((1, 1), (2, 3), (3, 16)):
+        tables = list(enumerate_algebras(n))
+        searched = algebra._searched(n)
+        assert len(searched) == count
+        positions = [tables.index(alg) for alg in searched]
+        assert positions == sorted(positions)
+        for position, alg in zip(positions, searched):
+            assert not any(_isomorphic(earlier.successors, alg.successors)
+                           for earlier in tables[:position])
+        for alg in tables:
+            assert sum(_isomorphic(alg.successors, first.successors)
+                       for first in searched) == 1
+
+
 def test_block_masks_match_their_definition():
     # digits and edges of whole sizes and of aligned blocks, which span
-    # whole tables or lie inside one, configuration i = table * 2**(n k) +
-    # valuation index
+    # whole searched tables or lie inside one, configuration i = table *
+    # 2**(n k) + valuation index; the search cuts a size into windows of
+    # a power-of-two length, or takes it whole
     for n in (1, 2, 3):
-        frames = [alg.successors for alg in enumerate_algebras(n)]
+        frames = [alg.successors for alg in algebra._searched(n)]
         for k in (0, 1, 2):
             total = len(frames) << n * k
             for length, i0 in itertools.product(
                     (total, total // 2, 4, 1), (0, 4, total // 2)):
-                if not 0 < length <= total - i0 or i0 % length:
+                if not 0 < length <= total - i0 or i0 % length \
+                        or length != total and length & length - 1:
                     continue
                 digits, steps, full = algebra._block_masks(n, k, i0, length)
 

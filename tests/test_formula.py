@@ -212,6 +212,20 @@ def test_erase_nabla_examples():
     assert erase_nabla(p) == p
 
 
+def test_walks_visit_each_shared_subformula_once():
+    # g and f have 2**60-leaf trees but 61 distinct subformulas each
+    g = f = erased = p
+    nablas = []
+    for _ in range(60):
+        nablas.append(Nabla(f))
+        g, f, erased = Or(g, Not(g)), And(f, nablas[-1]), And(erased, erased)
+    assert formula.pseudo_atoms(g) == [p]
+    assert is_classical_tautology(g)
+    # #-subformulas in first-occurrence order: the innermost comes first
+    assert formula.pseudo_atoms(f) == [p] + nablas
+    assert erase_nabla(f) == erased
+
+
 def test_is_classical_tautology_examples():
     assert is_classical_tautology(Or(p, Not(p)))
     assert is_classical_tautology(Implies(Nabla(p), Nabla(p)))
@@ -331,6 +345,7 @@ def _calls():
         "find_countermodel": lambda: algebra.find_countermodel(f),
         "is_classical_tautology": lambda: is_classical_tautology(f),
         "pseudo_atoms": lambda: formula.pseudo_atoms(f),
+        "erase_nabla": lambda: erase_nabla(f),
         "satisfies": lambda: folp.satisfies(M, g),
         # past the cache: a program compiled afresh
         "_compiled": lambda: folp._compiled.__wrapped__((g, phi), 2),

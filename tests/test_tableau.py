@@ -295,7 +295,7 @@ def test_wide_links_are_not_screened(monkeypatch):
     search = algebra._first_failure
 
     def bounded(f, units, n):
-        assert len(algebra._algebras(n)) << n * len(units) \
+        assert len(algebra._searched(n)) << n * len(units) \
             <= algebra._BLOCK_ELEMENTS
         return search(f, units, n)
 
